@@ -22,13 +22,20 @@ fn bench_sha256(c: &mut Criterion) {
 fn bench_sign_verify(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto/rsa");
     g.sample_size(30);
-    for &bits in &[rsa::MIN_MODULUS_BITS, rsa::DEFAULT_MODULUS_BITS] {
+    for &bits in &[rsa::MIN_MODULUS_BITS, rsa::DEFAULT_MODULUS_BITS, 1024] {
         let mut rng = StdRng::seed_from_u64(bits as u64);
         let (pk, sk) = rsa::generate(bits, &mut rng).unwrap();
         let msg = b"bid: P3 reports w = 2.25 units/load";
         let sig = sk.sign(msg);
+        let digest = sha256::digest(msg);
         g.bench_with_input(BenchmarkId::new("sign", bits), &sk, |b, sk| {
             b.iter(|| black_box(sk.sign(msg)))
+        });
+        // The full-exponent `pow_mod` oracle on the same digest:
+        // `sign_naive / sign` is the CRT speed-up (`sign` also hashes the
+        // short message).
+        g.bench_with_input(BenchmarkId::new("sign_naive", bits), &sk, |b, sk| {
+            b.iter(|| black_box(sk.sign_digest_naive(&digest)))
         });
         g.bench_with_input(BenchmarkId::new("verify", bits), &pk, |b, pk| {
             b.iter(|| black_box(pk.verify(msg, &sig)))

@@ -22,8 +22,9 @@
 //! * [`pki`] — the registry mapping participant identities to public keys
 //!   plus the [`pki::Signed`] envelope (`S_β(m) = (m, SIG_β(m))`).
 //! * [`ctx`] — per-key Montgomery contexts (built once at key generation,
-//!   reused for every modexp) and the per-session verification cache that
-//!   amortizes envelope verification across receivers.
+//!   reused for every modexp; signing runs through the CRT on the prime
+//!   factors) and the per-session verification cache that amortizes
+//!   envelope verification across receivers.
 //!
 //! ## Substitution note (see DESIGN.md)
 //!

@@ -16,6 +16,7 @@
 use crate::canon;
 use crate::ctx::{verdict_key, VerifyCache};
 use crate::rsa::{self, PublicKey, RawSignature, SecretKey};
+use crate::sha256::Digest;
 use rand::Rng;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -93,6 +94,13 @@ impl KeyPair {
             signer: self.identity.clone(),
             signature,
         })
+    }
+
+    /// Signs a precomputed SHA-256 digest of a body's canonical bytes — for
+    /// callers that already encoded and hashed the body. The signature is
+    /// the one [`KeyPair::sign`] puts in the envelope of that body.
+    pub fn sign_digest(&self, digest: &Digest) -> RawSignature {
+        self.secret.sign_digest(digest)
     }
 }
 
@@ -475,6 +483,18 @@ mod tests {
             Err(SignatureError::UnknownSigner(_))
         ));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn sign_digest_matches_envelope_signature() {
+        let (kp1, _, _) = setup();
+        let body = Bid {
+            processor: "P1".into(),
+            w: 1.5,
+        };
+        let digest = crate::sha256::digest(&canon::to_bytes(&body).unwrap());
+        let signed = kp1.sign(body).unwrap();
+        assert_eq!(&kp1.sign_digest(&digest), signed.signature());
     }
 
     #[test]

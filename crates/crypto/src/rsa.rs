@@ -5,6 +5,20 @@
 //! them as evidence of equivocation, Lemma 5.2). It does not need resistance
 //! to real-world adversaries, so we use small default moduli for speed and a
 //! simplified EMSA-PKCS#1-v1.5 padding (no ASN.1 `DigestInfo` prefix).
+//!
+//! **Per-key state.** [`generate`] builds each half's context once:
+//! the public key holds `(n, e)` and a [`VerifyCtx`] (the only Montgomery
+//! context over the full modulus `n`); the secret key holds `(n, d)` and a
+//! [`SignCtx`] with the factors `p` and `q`, one half-width Montgomery
+//! context for each, the window schedules of `dp = d mod (p−1)` and
+//! `dq = d mod (q−1)`, and `qinv = q⁻¹ mod p`. [`SecretKey::sign_digest`]
+//! signs through the Chinese Remainder Theorem on that state.
+//!
+//! **Byte identity.** Padding is deterministic and the CRT recombination
+//! yields the unique residue `m^d mod n`, so every signature is the same
+//! bytes as [`SecretKey::sign_digest_naive`]'s plain `pow_mod` with the
+//! full `d` — which stays public as the oracle. Signature caches, referee
+//! evidence and the differential suites therefore see no change.
 
 use crate::ctx::{ExpCtx, SignCtx, VerifyCtx};
 use crate::sha256::{self, Digest};
@@ -75,7 +89,7 @@ impl fmt::Debug for PublicKey {
     }
 }
 
-/// RSA secret key `(n, d)` with its prebuilt [`SignCtx`].
+/// RSA secret key `(n, d)` with its prebuilt CRT [`SignCtx`].
 #[derive(Clone)]
 pub struct SecretKey {
     n: BigUint,
@@ -85,7 +99,7 @@ pub struct SecretKey {
 
 impl fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Never print the private exponent.
+        // Never print the private exponent or the CRT state.
         write!(f, "SecretKey(n={} bits)", self.n.bits())
     }
 }
@@ -154,8 +168,10 @@ impl SecretKey {
         self.sign_digest(&sha256::digest(message))
     }
 
-    /// Signs a precomputed digest using the prebuilt Montgomery context
-    /// (the fast path).
+    /// Signs a precomputed digest through the prebuilt CRT context (the
+    /// fast path). Bytes are identical to [`sign_digest_naive`]'s.
+    ///
+    /// [`sign_digest_naive`]: SecretKey::sign_digest_naive
     pub fn sign_digest(&self, digest: &Digest) -> RawSignature {
         let k = self.n.bits().div_ceil(8);
         let m = BigUint::from_bytes_be(&pad_digest(digest, k));
@@ -164,9 +180,9 @@ impl SecretKey {
         RawSignature(s.to_bytes_be())
     }
 
-    /// Signs via plain `pow_mod` — the pre-Montgomery reference path, kept
-    /// public as the differential oracle. Signature bytes are identical to
-    /// [`sign_digest`]'s.
+    /// Signs via plain `pow_mod` with the full private exponent `d` — the
+    /// reference path, kept public as the differential oracle. Signature
+    /// bytes are identical to [`sign_digest`]'s.
     ///
     /// [`sign_digest`]: SecretKey::sign_digest
     pub fn sign_digest_naive(&self, digest: &Digest) -> RawSignature {
@@ -209,13 +225,14 @@ pub fn generate(bits: usize, rng: &mut impl Rng) -> Result<(PublicKey, SecretKey
             continue;
         }
         let d = modmath::inv_mod(&e, &phi).expect("coprime by check above");
-        // One Montgomery context per modulus, shared by both key halves;
-        // each half precomputes its own exponent's window schedule.
+        // The public half gets the only modulus-n context; the secret half
+        // signs through the CRT on p and q.
         let mont = Arc::new(
             MontgomeryCtx::new(&n).expect("RSA modulus is an odd semiprime > 1"),
         );
-        let verify_ctx = Arc::new(ExpCtx::new(Arc::clone(&mont), &e));
-        let sign_ctx = Arc::new(ExpCtx::new(mont, &d));
+        let verify_ctx = Arc::new(ExpCtx::new(mont, &e));
+        let sign_ctx =
+            Arc::new(SignCtx::new(&p, &q, &d).expect("p and q are distinct odd primes"));
         return Ok((
             PublicKey {
                 n: n.clone(),
@@ -311,8 +328,18 @@ mod tests {
     #[test]
     fn secret_key_debug_redacts() {
         let (_, sk) = keypair();
-        let dbg = format!("{sk:?}");
-        assert!(!dbg.contains(&sk.d.to_string()));
+        let dbg = format!("{sk:?} {:?}", sk.ctx);
+        let [mp, mq] = sk.ctx.halves();
+        let (p, q) = (mp.modulus(), mq.modulus());
+        let one = BigUint::one();
+        let dp = &sk.d % &(p - &one);
+        let dq = &sk.d % &(q - &one);
+        let qinv = modmath::inv_mod(q, p).unwrap();
+        let secrets = [("d", &sk.d), ("p", p), ("q", q), ("dp", &dp), ("dq", &dq), ("qinv", &qinv)];
+        for (name, secret) in secrets {
+            assert!(!dbg.contains(&secret.to_string()), "Debug leaks {name} (decimal)");
+            assert!(!dbg.contains(&format!("{secret:x}")), "Debug leaks {name} (hex)");
+        }
     }
 
     #[test]
@@ -344,11 +371,39 @@ mod tests {
     }
 
     #[test]
-    fn key_halves_share_one_montgomery_context() {
+    fn crt_and_naive_paths_are_byte_identical_across_sizes() {
+        // Several keys per size. The 2048-bit size (one key: its key
+        // generation takes seconds in debug builds) is in the property
+        // suite, `tests/proptests.rs`.
+        let msgs: [&[u8]; 3] = [b"", b"bid: P3 offers w=2.25", &[0xffu8; 200]];
+        for (bits, seeds) in [(384, 0..4u64), (512, 0..3), (1024, 0..2)] {
+            for seed in seeds {
+                let mut rng =
+                    StdRng::seed_from_u64(seed.wrapping_mul(7919).wrapping_add(bits as u64));
+                let (pk, sk) = generate(bits, &mut rng).unwrap();
+                for msg in msgs {
+                    let digest = sha256::digest(msg);
+                    let crt = sk.sign_digest(&digest);
+                    assert_eq!(crt, sk.sign_digest_naive(&digest), "{bits} bits, seed {seed}");
+                    assert!(pk.verify_digest(&digest, &crt));
+                    assert!(pk.verify_digest_naive(&digest, &crt));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_public_half_holds_a_modulus_n_context() {
         let (pk, sk) = keypair();
-        assert!(Arc::ptr_eq(
-            pk.verify_ctx().montgomery(),
-            sk.ctx.montgomery()
-        ));
+        let full = pk.verify_ctx().montgomery();
+        assert_eq!(full.modulus(), &pk.n);
+        // The secret half holds two half-width contexts over the factors
+        // and nothing over n.
+        let [mp, mq] = sk.ctx.halves();
+        assert_eq!(&(mp.modulus() * mq.modulus()), &sk.n);
+        for half in [mp, mq] {
+            assert_ne!(half.modulus(), &sk.n);
+            assert!(half.width() <= full.width().div_ceil(2));
+        }
     }
 }

@@ -13,6 +13,7 @@
 
 use dls_crypto::canon;
 use dls_crypto::pki::{is_equivocation, KeyPair, Registry};
+use dls_crypto::rsa::{self, PublicKey, SecretKey};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,6 +37,41 @@ fn fixtures() -> &'static (KeyPair, KeyPair, Registry) {
         let reg = Registry::from_keypairs([&a, &b]);
         (a, b, reg)
     })
+}
+
+/// Modulus sizes the CRT signing path is checked at, with one cached key
+/// pair each (several seeds per size run in the `rsa` unit tests; a
+/// 2048-bit key takes seconds to generate in debug builds).
+const SIZES: [usize; 4] = [384, 512, 1024, 2048];
+
+fn sized_key(size_idx: usize) -> &'static (PublicKey, SecretKey) {
+    static CELLS: [OnceLock<(PublicKey, SecretKey)>; 4] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    CELLS[size_idx].get_or_init(|| {
+        let bits = SIZES[size_idx];
+        let mut rng = StdRng::seed_from_u64(0xc47 ^ bits as u64);
+        rsa::generate(bits, &mut rng).unwrap()
+    })
+}
+
+fn arb_digest() -> impl Strategy<Value = [u8; 32]> {
+    prop::collection::vec(any::<u8>(), 32).prop_map(|v| {
+        let mut d = [0u8; 32];
+        d.copy_from_slice(&v);
+        d
+    })
+}
+
+/// The CRT signature equals the full-exponent `pow_mod` oracle byte for
+/// byte and verifies under both verification paths.
+fn check_crt_signature(size_idx: usize, digest: &[u8; 32]) -> Result<(), TestCaseError> {
+    let (pk, sk) = sized_key(size_idx);
+    let sig = sk.sign_digest(digest);
+    prop_assert_eq!(&sig, &sk.sign_digest_naive(digest), "{} bits", SIZES[size_idx]);
+    prop_assert!(sig.0.len() <= pk.modulus_len());
+    prop_assert!(pk.verify_digest(digest, &sig));
+    prop_assert!(pk.verify_digest_naive(digest, &sig));
+    Ok(())
 }
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
@@ -105,6 +141,45 @@ proptest! {
             prop_assert_ne!(bp, bq);
         } else {
             prop_assert_eq!(bp, bq);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn crt_signing_matches_oracle_384(d in arb_digest()) {
+        check_crt_signature(0, &d)?;
+    }
+
+    #[test]
+    fn crt_signing_matches_oracle_512(d in arb_digest()) {
+        check_crt_signature(1, &d)?;
+    }
+
+    #[test]
+    fn crt_signing_matches_oracle_1024(d in arb_digest()) {
+        check_crt_signature(2, &d)?;
+    }
+}
+
+proptest! {
+    // The naive 2048-bit oracle costs most of a second per case in debug
+    // builds.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn crt_signing_matches_oracle_2048(d in arb_digest()) {
+        check_crt_signature(3, &d)?;
+    }
+}
+
+#[test]
+fn crt_signing_matches_oracle_on_extreme_digests() {
+    for size_idx in 0..SIZES.len() {
+        for d in [[0u8; 32], [0xffu8; 32], [0x80u8; 32]] {
+            check_crt_signature(size_idx, &d).unwrap();
         }
     }
 }

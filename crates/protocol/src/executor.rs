@@ -120,9 +120,10 @@ pub(crate) fn dataset_cached(
 /// a fixed exponent — no randomized padding — so the signature over a given
 /// canonical body under a given key is a pure function. The cache maps
 /// `(identity, key_bits, seed, sha256(canonical body))` to the raw
-/// signature bytes; a hit reconstructs the envelope via [`Signed::forge`]
-/// with the *genuine* bytes, which is bit-identical to re-signing and
-/// verifies like any honestly signed message.
+/// signature bytes. The body is encoded and hashed once: a miss signs that
+/// digest, and both hit and miss build the envelope via [`Signed::forge`]
+/// with the *genuine* bytes, which is bit-identical to [`KeyPair::sign`]
+/// and verifies like any honestly signed message.
 fn sign_cached<T: Serialize>(
     key: &KeyPair,
     key_bits: usize,
@@ -143,14 +144,14 @@ fn sign_cached<T: Serialize>(
     {
         return Ok(Signed::forge(body, key.identity().to_string(), sig.clone()));
     }
-    let signed = key.sign(body).map_err(|e| RunError::Crypto(e.to_string()))?;
+    let sig = key.sign_digest(&digest).0;
     let mut guard = SIGS.lock();
     let cache = guard.get_or_insert_with(SigCache::new);
     if cache.len() >= SIG_CACHE_CAP {
         cache.clear();
     }
-    cache.insert(cache_key, signed.signature().0.clone());
-    Ok(signed)
+    cache.insert(cache_key, sig.clone());
+    Ok(Signed::forge(body, key.identity().to_string(), sig))
 }
 
 // ---------------------------------------------------------------------------
@@ -1551,6 +1552,21 @@ mod tests {
         assert_eq!(a, b);
         let registry = Registry::from_keypairs(std::iter::once(&key));
         assert!(b.verify(&registry).is_ok());
+    }
+
+    #[test]
+    fn sign_cached_miss_matches_keypair_sign() {
+        let mut keys =
+            generate_keys_cached(&["P1".to_string()], MIN_MODULUS_BITS, 98).expect("keys");
+        let key = keys.pop().expect("one key");
+        let body = BidBody {
+            processor: 3,
+            bid: 0.8125,
+        };
+        // Seed 98 is used by no other test, so the first call is a miss
+        // that signs the digest directly.
+        let cached = sign_cached(&key, MIN_MODULUS_BITS, 98, body.clone()).expect("sign");
+        assert_eq!(cached, key.sign(body).expect("direct sign"));
     }
 
     #[test]

@@ -79,10 +79,11 @@ fn bench_mont_pow(c: &mut Criterion) {
     // full-width base and exponent under an odd modulus. Two variants per
     // size — `cold` builds the context per call (one-shot cost), `warm`
     // reuses a prebuilt context and window schedule (the per-key
-    // amortized cost the crypto crate pays after keygen).
+    // amortized cost the crypto crate pays after keygen). 256 bits is the
+    // CRT half of a 512-bit key, 384 bits the `repeat-closed` modulus.
     let mut g = c.benchmark_group("bignum/mont_pow");
     g.sample_size(20);
-    for &bits in &[512usize, 1024, 2048] {
+    for &bits in &[256usize, 384, 512, 1024, 2048] {
         let limbs = bits / 32;
         let base = value(limbs, 7);
         let exp = value(limbs, 8);

@@ -179,6 +179,36 @@ mod tests {
         assert!(!is_prime(&c, &mut r));
     }
 
+    /// Trial-division oracle, independent of Montgomery and Miller–Rabin.
+    fn is_prime_by_trial_division(n: u64) -> bool {
+        n >= 2 && (2..).take_while(|d| d * d <= n).all(|d| !n.is_multiple_of(d))
+    }
+
+    #[test]
+    fn agrees_with_trial_division_across_the_word_boundary() {
+        // Candidates below 2³² fit one u32 limb, those above need two; both
+        // pack into one u64 Montgomery word.
+        let mut r = rng();
+        let (lo, hi) = ((1u64 << 32) - 4096, (1u64 << 32) + 4096);
+        let mut primes = 0;
+        for n in (lo + 1..=hi).step_by(2) {
+            let expected = is_prime_by_trial_division(n);
+            assert_eq!(is_prime(&BigUint::from(n), &mut r), expected, "n = {n}");
+            primes += expected as usize;
+        }
+        assert!(primes > 300, "the window holds ~370 primes, got {primes}");
+    }
+
+    #[test]
+    fn strong_pseudoprimes_to_small_base_sets_rejected() {
+        let mut r = rng();
+        // 3215031751 fools bases {2, 3, 5, 7}; 3825123056546413051 fools
+        // every prime base up to 23.
+        for c in [3_215_031_751u64, 3_825_123_056_546_413_051] {
+            assert!(!is_prime(&BigUint::from(c), &mut r), "{c}");
+        }
+    }
+
     #[test]
     fn known_rsa_style_semiprime_rejected() {
         let mut r = rng();

@@ -12,7 +12,9 @@
 //! Heuristic, lexical, and deliberately noisy-by-default in scope: a line
 //! is exempt when it shows its own evidence of discipline (an explicit
 //! `wrapping_*`/`checked_*`/`overflowing_*`/`saturating_*`/`carrying_*`
-//! call, or a widening `as u64`/`as u128`/`as i128` cast); an operator is
+//! call, or a cast to a type at least twice the file's limb width — `as u64`
+//! widens a `u32` limb, but in the `u64`-word Montgomery kernel only
+//! `as u128`/`as i128` does); an operator is
 //! exempt when one operand is a literal or a SCREAMING_CASE named
 //! constant (small-step index bookkeeping like `i + 1` can't overflow
 //! before memory does), or when it sits inside `[...]` (index expressions
@@ -28,17 +30,25 @@ use crate::SourceFile;
 
 /// The limb kernels whose arithmetic feeds exact payments — including the
 /// Montgomery kernel and the per-key exponentiation contexts built on it,
-/// which now carry the RSA hot path.
-const SCOPE: &[&str] = &[
-    "crates/num/src/biguint.rs",
-    "crates/num/src/bigint.rs",
-    "crates/num/src/montgomery.rs",
-    "crates/crypto/src/ctx.rs",
+/// which now carry the RSA hot path — each with its limb width in bits.
+const SCOPE: &[(&str, u32)] = &[
+    ("crates/num/src/biguint.rs", 32),
+    ("crates/num/src/bigint.rs", 32),
+    ("crates/num/src/montgomery.rs", 64),
+    ("crates/crypto/src/ctx.rs", 32),
 ];
+
+/// The limb width (bits) of `rel`, or `None` when the pass skips it.
+fn limb_bits(rel: &str) -> Option<u32> {
+    SCOPE
+        .iter()
+        .find(|(path, _)| *path == rel)
+        .map(|&(_, bits)| bits)
+}
 
 /// `true` when the pass evaluates in `rel`.
 pub fn in_scope(rel: &str) -> bool {
-    SCOPE.contains(&rel)
+    limb_bits(rel).is_some()
 }
 
 /// Keywords that make a preceding-token position a unary (not binary)
@@ -55,8 +65,16 @@ const DISCIPLINE_PREFIXES: &[&str] = &[
     "borrowing_",
 ];
 
-/// Casts wide enough to absorb a limb-by-limb product or sum.
-const WIDENING_CASTS: &[&str] = &["u64", "u128", "i64", "i128"];
+/// `true` when a cast to `ty` absorbs a product or sum of two limbs of
+/// `limb_bits` bits: the target must be at least twice as wide.
+fn widens(ty: &str, limb_bits: u32) -> bool {
+    let bits = match ty {
+        "u64" | "i64" => 64,
+        "u128" | "i128" => 128,
+        _ => return false,
+    };
+    bits >= 2 * limb_bits
+}
 
 fn is_screaming_const(text: &str) -> bool {
     text.len() > 1
@@ -92,9 +110,9 @@ fn operand_exempt(t: &Token) -> bool {
 pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> bool {
     let mut activated = false;
     for (idx, sf) in files.iter().enumerate() {
-        if !in_scope(&sf.rel) {
+        let Some(limb_bits) = limb_bits(&sf.rel) else {
             continue;
-        }
+        };
         activated = true;
         let toks = &sf.lexed.tokens;
 
@@ -109,7 +127,7 @@ pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> b
                 || (t.text == "as"
                     && toks
                         .get(i + 1)
-                        .is_some_and(|n| WIDENING_CASTS.contains(&n.text.as_str())));
+                        .is_some_and(|n| widens(&n.text, limb_bits)));
             if proves && !evidenced.contains(&t.line) {
                 evidenced.push(t.line);
             }

@@ -185,6 +185,18 @@ fn arith_suppressions_cover_and_count() {
     assert_eq!(report.suppressed, 2);
 }
 
+#[test]
+fn arith_widening_is_relative_to_the_limb_width() {
+    // montgomery.rs computes in u64 words: `as u64` widens nothing there.
+    let report = run("crates/num/src/montgomery.rs", "arith_limb_width.rs");
+    assert_eq!(rules(&report), ["unchecked-arith"], "{:#?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].line, 7);
+    assert!(report.diagnostics[0].message.contains("`+`"));
+    // biguint.rs keeps u32 limbs, where `as u64` is a genuine widening.
+    let report = run("crates/num/src/biguint.rs", "arith_limb_width.rs");
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+}
+
 // ------------------------- lexer adversarial ---------------------------
 
 #[test]

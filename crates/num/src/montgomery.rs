@@ -5,11 +5,18 @@
 //! with a full Knuth-D division. A [`MontgomeryCtx`] instead precomputes, once
 //! per modulus, the constants that let every modular multiplication run as a
 //! single fused multiply-reduce pass (CIOS — Coarsely Integrated Operand
-//! Scanning) over the `u32` limb vectors: `n' = -n⁻¹ mod 2³²` (Hensel
-//! lifting) and `R² mod n` where `R = 2^(32·s)` for an `s`-limb modulus.
-//! Exponentiation uses a fixed-window (w = 4) ladder with a precomputed
-//! odd-power table; the window schedule itself ([`ExpWindows`]) depends only
-//! on the exponent and can be built once per key and reused across calls.
+//! Scanning) over `u64` words with `u128` products: `n' = -n⁻¹ mod 2⁶⁴`
+//! (Hensel lifting) and `R² mod n` where `R = 2^(64·s)` for an `s`-word
+//! modulus. Exponentiation uses a fixed-window (w = 4) ladder with a
+//! precomputed odd-power table; the window schedule itself ([`ExpWindows`])
+//! depends only on the exponent and can be built once per key and reused
+//! across calls.
+//!
+//! [`BigUint`] keeps its `u32` limbs (rationals and exact payments are built
+//! on them). The kernel's 64-bit words exist only between one private
+//! `pack`/`unpack` pair: the constructor and [`to_mont`](MontgomeryCtx::to_mont)
+//! pack two limbs per word, [`from_mont`](MontgomeryCtx::from_mont) unpacks,
+//! and every Montgomery vector in between is a `Vec<u64>` of width `s`.
 //!
 //! Montgomery representation is a bijection `a ↦ a·R mod n` on `[0, n)`, and
 //! every kernel here returns the canonical representative, so results are
@@ -35,7 +42,7 @@ const TABLE_LEN: usize = 1 << (WINDOW_BITS - 1);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MontgomeryError {
     /// The modulus is even (including zero); Montgomery reduction requires
-    /// `gcd(n, 2³²) = 1`.
+    /// `gcd(n, 2⁶⁴) = 1`.
     EvenModulus,
     /// The modulus is the unit `1`, which has no non-trivial residues.
     UnitModulus,
@@ -45,7 +52,7 @@ impl fmt::Display for MontgomeryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MontgomeryError::EvenModulus => {
-                write!(f, "Montgomery modulus must be odd (gcd(n, 2^32) = 1)")
+                write!(f, "Montgomery modulus must be odd (gcd(n, 2^64) = 1)")
             }
             MontgomeryError::UnitModulus => {
                 write!(f, "Montgomery modulus must be > 1")
@@ -65,14 +72,14 @@ impl std::error::Error for MontgomeryError {}
 pub struct MontgomeryCtx {
     /// The modulus `n` (odd, > 1).
     n: BigUint,
-    /// `n`'s limbs, exactly `s` words (top word non-zero).
-    n_limbs: Vec<u32>,
-    /// `-n⁻¹ mod 2³²`, via Hensel/Newton lifting from the low limb.
-    n0_inv: u32,
-    /// `R² mod n`, padded to `s` words (`R = 2^(32·s)`).
-    r2: Vec<u32>,
+    /// `n` packed into exactly `s` words (top word non-zero).
+    n_limbs: Vec<u64>,
+    /// `-n⁻¹ mod 2⁶⁴`, via Hensel/Newton lifting from the low word.
+    n0_inv: u64,
+    /// `R² mod n`, padded to `s` words (`R = 2^(64·s)`).
+    r2: Vec<u64>,
     /// `R mod n`, padded to `s` words — the Montgomery form of `1`.
-    one: Vec<u32>,
+    one: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -85,27 +92,27 @@ impl MontgomeryCtx {
         if n.is_one() {
             return Err(MontgomeryError::UnitModulus);
         }
-        let n_limbs = n.limbs().to_vec();
-        let s = n_limbs.len();
+        let s = n.limbs().len().div_ceil(2);
+        let n_limbs = pack(n, s);
         // Hensel lifting: x ≡ n₀⁻¹ (mod 2^(2^k)) doubles its valid bits per
-        // Newton step x ← x·(2 − n₀·x); five steps from x = 1 (exact mod 2
-        // since n₀ is odd) reach 32 bits.
+        // Newton step x ← x·(2 − n₀·x); six steps from x = 1 (exact mod 2
+        // since n₀ is odd) reach 64 bits.
         let n0 = n_limbs[0];
-        let mut x: u32 = 1;
-        for _ in 0..5 {
-            x = x.wrapping_mul(2u32.wrapping_sub(n0.wrapping_mul(x)));
+        let mut x: u64 = 1;
+        for _ in 0..6 {
+            x = x.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(x)));
         }
         debug_assert_eq!(n0.wrapping_mul(x), 1);
         let n0_inv = x.wrapping_neg();
         // dls-lint: allow(unchecked-arith) -- BigUint shift is arbitrary-precision
-        let r2 = &(BigUint::one() << (64 * s)) % n;
+        let r2 = &(BigUint::one() << (128 * s)) % n;
         // dls-lint: allow(unchecked-arith) -- BigUint shift is arbitrary-precision
-        let one = &(BigUint::one() << (32 * s)) % n;
+        let one = &(BigUint::one() << (64 * s)) % n;
         Ok(MontgomeryCtx {
             n: n.clone(),
             n0_inv,
-            r2: pad(r2.limbs(), s),
-            one: pad(one.limbs(), s),
+            r2: pack(&r2, s),
+            one: pack(&one, s),
             n_limbs,
         })
     }
@@ -115,7 +122,7 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// Operand width in `u32` limbs (`s`); every Montgomery vector this
+    /// Operand width in `u64` words (`s`); every Montgomery vector this
     /// context produces or consumes has exactly this length.
     pub fn width(&self) -> usize {
         self.n_limbs.len()
@@ -123,25 +130,23 @@ impl MontgomeryCtx {
 
     /// Converts `a` into Montgomery form `a·R mod n` (reducing `a` first, so
     /// `a >= n` is fine).
-    pub fn to_mont(&self, a: &BigUint) -> Vec<u32> {
-        let reduced = a % &self.n;
-        let a_limbs = pad(reduced.limbs(), self.width());
-        self.mul(&a_limbs, &self.r2)
+    pub fn to_mont(&self, a: &BigUint) -> Vec<u64> {
+        let reduced = pack(&(a % &self.n), self.width());
+        self.mul(&reduced, &self.r2)
     }
 
     /// Converts a Montgomery vector back to the canonical integer in `[0, n)`.
-    pub fn from_mont(&self, a: &[u32]) -> BigUint {
-        let one_int = [1u32];
-        let mut t = Vec::new();
-        let mut out = vec![0u32; self.width()];
-        self.mul_into(a, &pad(&one_int, self.width()), &mut t, &mut out);
-        BigUint::from_limbs_le(out)
+    pub fn from_mont(&self, a: &[u64]) -> BigUint {
+        // Multiplying by the plain integer 1 strips one factor of R.
+        let mut one_int = vec![0u64; self.width()];
+        one_int[0] = 1;
+        unpack(&self.mul(a, &one_int))
     }
 
     /// Montgomery product `a·b·R⁻¹ mod n` of two width-`s` vectors.
-    pub fn mul(&self, a: &[u32], b: &[u32]) -> Vec<u32> {
+    pub fn mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         let mut t = Vec::new();
-        let mut out = vec![0u32; self.width()];
+        let mut out = vec![0u64; self.width()];
         self.mul_into(a, b, &mut t, &mut out);
         out
     }
@@ -152,63 +157,61 @@ impl MontgomeryCtx {
     /// be width `s` and must not alias `a` or `b`. The working value after
     /// each outer iteration stays below `2n`, so `t` needs `s + 2` words and
     /// the top word never exceeds 1 (the classical CIOS bound).
-    fn mul_into(&self, a: &[u32], b: &[u32], t: &mut Vec<u32>, out: &mut [u32]) {
+    fn mul_into(&self, a: &[u64], b: &[u64], t: &mut Vec<u64>, out: &mut [u64]) {
         let s = self.width();
-        debug_assert!(a.len() == s && b.len() == s && out.len() == s);
+        let n = &self.n_limbs[..s];
+        let (a, b, out) = (&a[..s], &b[..s], &mut out[..s]);
         t.clear();
         t.resize(s + 2, 0);
-        for i in 0..s {
+        let t = &mut t[..s + 2];
+        for &bi in b {
             // Multiply step: t += a · b[i].
-            let bi = b[i] as u64;
+            let bi = bi as u128;
             let mut carry: u64 = 0;
-            for j in 0..s {
-                // (2³²−1)² + 2·(2³²−1) = 2⁶⁴−1: the three-term sum fits u64.
-                let sum = t[j] as u64 + a[j] as u64 * bi + carry;
-                t[j] = sum as u32;
-                carry = sum >> 32;
+            for (tj, &aj) in t.iter_mut().zip(a) {
+                // (2⁶⁴−1)² + 2·(2⁶⁴−1) = 2¹²⁸−1: the three-term sum fits u128.
+                let sum = *tj as u128 + aj as u128 * bi + carry as u128;
+                *tj = sum as u64;
+                carry = (sum >> 64) as u64;
             }
-            let sum = t[s] as u64 + carry;
-            t[s] = sum as u32;
-            // sum < 2³³ (word + carry), so the overflow word is 0 or 1.
-            t[s + 1] = (sum >> 32) as u32;
+            let (sum, overflow) = t[s].overflowing_add(carry);
+            t[s] = sum;
+            t[s + 1] = overflow as u64;
 
             // Reduce step: add m·n with m chosen so the low word cancels,
             // then shift down one word.
-            let m = t[0].wrapping_mul(self.n0_inv) as u64;
-            let sum = t[0] as u64 + m * self.n_limbs[0] as u64;
-            debug_assert_eq!(sum as u32, 0, "low word must cancel");
-            let mut carry = sum >> 32;
+            let m = t[0].wrapping_mul(self.n0_inv) as u128;
+            let sum = t[0] as u128 + m * n[0] as u128;
+            debug_assert_eq!(sum as u64, 0, "low word must cancel");
+            let mut carry = (sum >> 64) as u64;
             for j in 1..s {
-                let sum = t[j] as u64 + m * self.n_limbs[j] as u64 + carry;
-                t[j - 1] = sum as u32;
-                carry = sum >> 32;
+                let sum = t[j] as u128 + m * n[j] as u128 + carry as u128;
+                t[j - 1] = sum as u64;
+                carry = (sum >> 64) as u64;
             }
-            let sum = t[s] as u64 + carry;
-            t[s - 1] = sum as u32;
-            // Both addends are at most 1 (CIOS invariant + carry), so the
-            // top word stays 0 or 1 and the sum cannot wrap.
-            t[s] = (t[s + 1] as u64 + (sum >> 32)) as u32;
+            let (sum, overflow) = t[s].overflowing_add(carry);
+            t[s - 1] = sum;
+            // Both addends are at most 1 (CIOS invariant + carry), and their
+            // sum is the top word of a value below 2n < 2^(64·s+1), so it is
+            // 0 or 1 and the OR is the sum.
+            debug_assert!(t[s + 1] == 0 || !overflow, "top word exceeds 1");
+            t[s] = t[s + 1] | overflow as u64;
         }
         // Final value is t[0..=s] < 2n: one conditional subtract canonicalizes.
-        let ge = t[s] != 0 || cmp_limbs(&t[..s], &self.n_limbs) != Ordering::Less;
+        let ge = t[s] != 0 || cmp_limbs(&t[..s], n) != Ordering::Less;
         if !ge {
             out.copy_from_slice(&t[..s]);
             return;
         }
-        let mut borrow: i64 = 0;
-        for j in 0..s {
-            let d = t[j] as i64 - self.n_limbs[j] as i64 - borrow;
-            if d < 0 {
-                // dls-lint: allow(unchecked-arith) -- d in (-2^32, 0), so d + 2^32 fits i64 and u32
-                out[j] = (d + (1i64 << 32)) as u32;
-                borrow = 1;
-            } else {
-                out[j] = d as u32;
-                borrow = 0;
-            }
+        let mut borrow = false;
+        for ((o, &tj), &nj) in out.iter_mut().zip(t.iter()).zip(n) {
+            let (d, b1) = tj.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            *o = d;
+            borrow = b1 | b2;
         }
         // t < 2n guarantees the final borrow is absorbed by t[s].
-        debug_assert_eq!(t[s] as i64, borrow, "reduction must not underflow");
+        debug_assert_eq!(t[s], borrow as u64, "reduction must not underflow");
     }
 
     /// `base^exp mod n` with a per-call window schedule.
@@ -234,7 +237,7 @@ impl MontgomeryCtx {
     /// intermediate values against precomputed Montgomery constants without
     /// converting back — the representation is a bijection, so vector
     /// equality is value equality.
-    pub fn pow_to_mont(&self, base_mont: &[u32], windows: &ExpWindows) -> Vec<u32> {
+    pub fn pow_to_mont(&self, base_mont: &[u64], windows: &ExpWindows) -> Vec<u64> {
         let s = self.width();
         debug_assert_eq!(base_mont.len(), s);
         if windows.ops.is_empty() {
@@ -243,7 +246,7 @@ impl MontgomeryCtx {
         }
         // Odd-power table: table[i] = base^(2i+1) in Montgomery form.
         let sq = self.mul(base_mont, base_mont);
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(TABLE_LEN);
+        let mut table: Vec<Vec<u64>> = Vec::with_capacity(TABLE_LEN);
         table.push(base_mont.to_vec());
         for i in 1..TABLE_LEN {
             table.push(self.mul(&table[i - 1], &sq));
@@ -251,8 +254,8 @@ impl MontgomeryCtx {
         // Left-to-right ladder over the schedule; `acc = None` until the
         // leading window lands (skipping its squarings of 1).
         let mut t = Vec::new();
-        let mut tmp = vec![0u32; s];
-        let mut acc: Option<Vec<u32>> = None;
+        let mut tmp = vec![0u64; s];
+        let mut acc: Option<Vec<u64>> = None;
         for op in &windows.ops {
             match *op {
                 WindowOp::Squares(k) => {
@@ -308,12 +311,7 @@ impl ExpWindows {
                 continue;
             }
             // Window [j..=i]: lowest set bit within WINDOW_BITS of i.
-            let lo = if i >= WINDOW_BITS as i64 - 1 {
-                i - (WINDOW_BITS as i64 - 1)
-            } else {
-                0
-            };
-            let mut j = lo;
+            let mut j = i.saturating_sub(WINDOW_BITS as i64 - 1).max(0);
             while !exp.bit(j as usize) {
                 j += 1;
             }
@@ -338,16 +336,30 @@ impl ExpWindows {
     }
 }
 
-/// Copies `limbs` into a fresh width-`s` vector, zero-extended at the top.
-fn pad(limbs: &[u32], s: usize) -> Vec<u32> {
-    debug_assert!(limbs.len() <= s);
-    let mut out = vec![0u32; s];
-    out[..limbs.len()].copy_from_slice(limbs);
+/// Packs `a`'s `u32` limbs two per word (low limb in the low half) into a
+/// fresh width-`s` vector, zero-extended at the top.
+fn pack(a: &BigUint, s: usize) -> Vec<u64> {
+    let limbs = a.limbs();
+    assert!(limbs.len() <= 2 * s, "value wider than the context");
+    let mut out = vec![0u64; s];
+    for (word, pair) in out.iter_mut().zip(limbs.chunks(2)) {
+        let hi = pair.get(1).copied().unwrap_or(0);
+        *word = (hi as u64) << 32 | pair[0] as u64;
+    }
     out
 }
 
+/// Splits each word back into two `u32` limbs; the inverse of [`pack`].
+fn unpack(words: &[u64]) -> BigUint {
+    let limbs = words
+        .iter()
+        .flat_map(|&w| [w as u32, (w >> 32) as u32])
+        .collect();
+    BigUint::from_limbs_le(limbs)
+}
+
 /// Compares two equal-width little-endian limb slices.
-fn cmp_limbs(a: &[u32], b: &[u32]) -> Ordering {
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().rev().zip(b.iter().rev()) {
         match x.cmp(y) {
@@ -402,10 +414,91 @@ mod tests {
 
     #[test]
     fn n0_inv_is_negative_inverse() {
-        for n in [3u64, 17, 0xffff_fffb, 0x1_0000_0001, 12345678901234567] {
+        for n in [
+            3u64,
+            17,
+            0xffff_fffb,
+            0x1_0000_0001,
+            12345678901234567,
+            0xffff_ffff_ffff_ffff,
+            0x8000_0000_0000_0001,
+        ] {
             let ctx = MontgomeryCtx::new(&b(n | 1)).unwrap();
             let n0 = ctx.n_limbs[0];
-            assert_eq!(n0.wrapping_mul(ctx.n0_inv), u32::MAX, "n = {n}");
+            // n0 · n0_inv ≡ −1 (mod 2⁶⁴).
+            assert_eq!(n0.wrapping_mul(ctx.n0_inv), u64::MAX, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn pack_unpack_roundtrip() {
+        for bits in [1usize, 31, 32, 33, 64, 65, 96, 160, 544] {
+            let a = rnd(bits, 3);
+            let s = a.limbs().len().div_ceil(2);
+            for width in [s, s + 1] {
+                let words = pack(&a, width);
+                assert_eq!(words.len(), width);
+                assert_eq!(unpack(&words), a, "bits {bits} width {width}");
+            }
+        }
+        assert_eq!(pack(&BigUint::zero(), 2), vec![0, 0]);
+    }
+
+    /// Moduli at the word-packing edges: an odd number of `u32` limbs
+    /// (top word half empty), one word below and above 2³², all-ones words
+    /// and `2^(64k−1)+1`.
+    fn edge_moduli() -> Vec<BigUint> {
+        let one = BigUint::one();
+        let mut out = Vec::new();
+        for bits in [96usize, 160, 224, 416, 544] {
+            let mut n = rnd(bits, bits as u32);
+            n.set_bit(0, true);
+            out.push(n);
+        }
+        out.extend([b(3), b(0xffff_fffb), b(4_000_000_007)]);
+        out.extend([b(0x1_0000_000f), b(0x1234_5678_9abc_def1), b(u64::MAX - 58)]);
+        for k in [1usize, 2, 3, 8] {
+            out.push(&(&one << (64 * k)) - &one);
+            out.push(&(&one << (64 * k - 1)) + &one);
+        }
+        out
+    }
+
+    /// Bases at the edges of `[0, n)` and beyond it.
+    fn edge_bases(n: &BigUint) -> Vec<BigUint> {
+        let one = BigUint::one();
+        let n2 = n * n;
+        vec![
+            BigUint::zero(),
+            one.clone(),
+            n - &one,
+            n.clone(),
+            &n2 + &b(5),
+            &(&n2 * &b(3)) + &(n - &one),
+            &rnd(n.bits() + 3, 17) % n,
+        ]
+    }
+
+    #[test]
+    fn word_packing_edges_match_modmath() {
+        for n in edge_moduli() {
+            let ctx = MontgomeryCtx::new(&n).unwrap();
+            assert_eq!(ctx.width(), n.bits().div_ceil(64), "n = {n}");
+            let r = BigUint::one() << (64 * ctx.width());
+            let exp = rnd(96, 23);
+            let bases = edge_bases(&n);
+            for a in &bases {
+                let am = ctx.to_mont(a);
+                assert_eq!(am.len(), ctx.width());
+                let ctx_pow = ctx.pow(a, &exp);
+                assert_eq!(unpack(&am), modmath::mul_mod(a, &r, &n), "to_mont {n} {a}");
+                assert_eq!(ctx.from_mont(&am), a % &n, "from_mont {n} {a}");
+                assert_eq!(ctx_pow, modmath::pow_mod(a, &exp, &n), "pow {n} {a}");
+                for c in &bases {
+                    let prod = ctx.from_mont(&ctx.mul(&am, &ctx.to_mont(c)));
+                    assert_eq!(prod, modmath::mul_mod(a, c, &n), "mul {n} {a} {c}");
+                }
+            }
         }
     }
 

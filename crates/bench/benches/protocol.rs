@@ -1,11 +1,12 @@
-//! Whole-protocol benchmarks: a full DLS-BL-NCP session (threads, crypto,
-//! all five phases) across system sizes, and the deviant-detection path.
+//! Whole-protocol benchmarks: a full DLS-BL-NCP session (state machines,
+//! crypto, all five phases) across system sizes, and the deviant-detection
+//! path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dls_bench::workloads::heterogeneous_rates;
 use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
-use dls_protocol::runtime::run_session;
+use dls_protocol::run_session_vm;
 use std::hint::black_box;
 
 fn compliant_cfg(m: usize) -> SessionConfig {
@@ -25,9 +26,9 @@ fn bench_full_session(c: &mut Criterion) {
         let cfg = compliant_cfg(m);
         // Warm the key cache so the benchmark measures the protocol, not
         // one-time key generation.
-        let _ = run_session(&cfg).unwrap();
+        let _ = run_session_vm(&cfg).unwrap();
         g.bench_with_input(BenchmarkId::from_parameter(m), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_session(cfg).unwrap()))
+            b.iter(|| black_box(run_session_vm(cfg).unwrap()))
         });
     }
     g.finish();
@@ -52,9 +53,9 @@ fn bench_deviant_detection(c: &mut Criterion) {
         .blocks(8)
         .build()
         .unwrap();
-    let _ = run_session(&cfg).unwrap();
+    let _ = run_session_vm(&cfg).unwrap();
     g.bench_function("equivocation_abort_m4", |b| {
-        b.iter(|| black_box(run_session(&cfg).unwrap()))
+        b.iter(|| black_box(run_session_vm(&cfg).unwrap()))
     });
     g.finish();
 }

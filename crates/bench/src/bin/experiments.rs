@@ -12,7 +12,7 @@ use dls::dlt::{diagnostics, exact, optimal, BusParams, SystemModel, ALL_MODELS};
 use dls::mechanism::validate::{default_bid_factors, sweep_strategyproof};
 use dls::netsim::{gantt, simulate, SessionSpec};
 use dls::protocol::config::{Behavior, ProcessorConfig, SessionConfig};
-use dls::protocol::runtime::run_session;
+use dls::protocol::run_session_vm;
 use dls::SessionStatus;
 use dls_bench::workloads::{figure_scenario, heterogeneous_rates};
 
@@ -287,7 +287,7 @@ fn fines() {
             .seed(seed)
             .build()
             .unwrap();
-        honest_fines += run_session(&cfg).unwrap().fined_processors().len();
+        honest_fines += run_session_vm(&cfg).unwrap().fined_processors().len();
     }
     println!("honest sessions x10: total fines = {honest_fines} (expect 0)");
     // 2) single-deviant sessions: exactly the deviant fined.
@@ -329,7 +329,7 @@ fn comm_complexity() {
             .blocks(2 * m) // keep grant payloads proportional, not dominant
             .build()
             .unwrap();
-        let out = run_session(&cfg).unwrap();
+        let out = run_session_vm(&cfg).unwrap();
         let (bid_msgs, _) = out.messages.category("bid");
         let (pv_msgs, pv_bytes) = out.messages.category("payment-vector");
         let total = out.messages.total_bytes();
@@ -376,7 +376,7 @@ fn fine_bound() {
             .seed(3)
             .build()
             .unwrap();
-        let out = run_session(&cfg).unwrap();
+        let out = run_session_vm(&cfg).unwrap();
         let u = out.utility(1);
         println!(
             "{:>10.1} {:>12.4} {:>14.4} {:>12}",
@@ -408,7 +408,7 @@ fn decentralization_cost() {
                 .unwrap()
         };
         let cp = dls::protocol::centralized::run_centralized(&mk(SystemModel::Cp)).unwrap();
-        let ncp = run_session(&mk(SystemModel::NcpFe)).unwrap();
+        let ncp = run_session_vm(&mk(SystemModel::NcpFe)).unwrap();
         println!(
             "{:>5} {:>12} {:>14} {:>12} {:>14} {:>10.1}",
             m,
@@ -520,5 +520,5 @@ fn run_cfg(procs: &[(f64, Behavior)]) -> dls::SessionOutcome {
         .seed(2)
         .build()
         .unwrap();
-    run_session(&cfg).unwrap()
+    run_session_vm(&cfg).unwrap()
 }

@@ -2,14 +2,14 @@
 //! `cargo run --release --bin sessions`.
 //!
 //! Writes `BENCH_sessions.json` (schema `dls-bench-sessions-v2`) in the
-//! current directory and prints the headline pooled-vs-threaded and
-//! amortized-vs-per-receiver speedups.
+//! current directory and prints the headline amortized-vs-per-receiver
+//! verification speedups.
 //! Flags:
 //!
 //! * `--quick` — the seconds-scale subset used by the schema test
 //! * `--out <path>` — write the JSON somewhere else
 
-use dls_bench::sessions::{crypto_speedup, pooled_speedup, render_json, run_sweep, SessionsConfig};
+use dls_bench::sessions::{crypto_speedup, render_json, run_sweep, SessionsConfig};
 
 fn main() {
     let mut cfg = SessionsConfig::full();
@@ -45,15 +45,10 @@ fn main() {
     }
     println!("wrote {} entries to {out}", entries.len());
 
-    // Headline numbers at the largest batch, per m: pooled-vs-threaded
-    // and amortized-vs-per-receiver verification.
+    // Headline numbers at the largest batch, per m: amortized vs
+    // per-receiver verification.
     if let Some(&batch) = cfg.batch_sizes.iter().max() {
         for &m in &cfg.m_sizes {
-            if let Some(s) = pooled_speedup(&entries, m, batch) {
-                println!(
-                    "m={m:4} batch={batch:5}: pooled executor runs {s:.1}x more sessions/sec than the threaded runtime"
-                );
-            }
             if let Some(s) = crypto_speedup(&entries, m, batch) {
                 println!(
                     "m={m:4} batch={batch:5}: amortized verification runs {s:.1}x more sessions/sec than the per-receiver baseline"

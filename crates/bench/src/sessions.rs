@@ -1,26 +1,18 @@
 //! Session-throughput sweep: the data source for `BENCH_sessions.json`.
 //!
-//! One cell = (market size `m`) × (batch of independent sessions) × path:
+//! One cell = (market size `m`) × (batch of independent sessions) ×
+//! crypto profile, on the `"pooled"` path — the event-driven executor
+//! ([`dls_protocol::executor::run_session_pooled_with`]): state-machine
+//! processors stepped by one event loop per worker, sessions sharded by
+//! index, virtual-time barriers and delays.
 //!
-//! * **`"threaded"`** — the oracle runtime
-//!   ([`dls_protocol::runtime::run_session`]): m+1 OS threads per session
-//!   parked on condvar phase barriers, real `thread::sleep` for injected
-//!   delays, run sequentially over the batch.
-//! * **`"pooled"`** — the event-driven executor
-//!   ([`dls_protocol::executor::run_session_pooled_with`]): state-machine
-//!   processors stepped by one event loop per worker, sessions sharded by
-//!   index, virtual-time barriers and delays.
-//!
-//! Both paths run the *same* frozen batch: a fixed market (rates from
+//! Every cell runs the *same* frozen batch: a fixed market (rates from
 //! [`crate::workloads::quantized_rates`] at a fixed seed) with session `k`
 //! playing scenario `k mod 8` from a chaos cycle (compliant, misreport,
 //! slack, crash, delay, garbage, corrupt payments, mute) — so the sweep
 //! exercises verdicts, fines and degraded re-runs, not just the happy
 //! path, and the executor's deterministic signature/dataset caches warm
-//! exactly as they would serving steady repeat traffic. The differential
-//! suite (`tests/tests/executor_differential.rs`) proves the two paths
-//! produce bit-identical `SessionOutcome`s, so the cells compare equal
-//! work.
+//! exactly as they would serving steady repeat traffic.
 //!
 //! Since schema v2 each entry also carries a `verify` column — the
 //! session's crypto profile:
@@ -30,21 +22,16 @@
 //!   every other receiver hits the memoized verdict.
 //! * **`"per-receiver"`** — the pre-Montgomery baseline: every receiver of
 //!   a broadcast re-verifies via plain `pow_mod`, so the bidding phase
-//!   alone costs m·(m−1) modexps. Measured on the pooled path only (the
-//!   differential suite proves the profile is outcome-neutral, so the
-//!   columns compare identical work).
+//!   alone costs m·(m−1) modexps. The executor's unit tests prove the
+//!   profile is outcome-neutral, so the columns compare identical work.
 //!
 //! Honest-measurement notes, reflected in the JSON:
 //!
-//! * min-of-reps timing (warm steady state); big threaded cells and the
-//!   per-receiver baseline run fewer reps;
-//! * the threaded path times a prefix sample of the batch
-//!   (`sessions_timed`, always a whole number of scenario cycles when
-//!   ≥ 8) because 1024 threaded sessions at m = 64 cost tens of minutes;
-//!   per-session cost is batch-independent on the sequential path;
-//! * both paths benefit from the process-wide deterministic key and
-//!   dataset caches; the pooled path additionally reuses signatures and
-//!   shares per-round broadcast verification.
+//! * min-of-reps timing (warm steady state); the per-receiver baseline
+//!   runs fewer reps;
+//! * every cell benefits from the process-wide deterministic key,
+//!   dataset and signature caches and shares per-round broadcast
+//!   verification.
 //!
 //! Covered by the workspace no-panic lint gate: measurement never
 //! unwraps — session errors surface as the harness error string.
@@ -55,7 +42,6 @@ use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
 use dls_protocol::executor::run_session_pooled_with;
 use dls_protocol::referee::Phase;
-use dls_protocol::runtime::run_session;
 use dls_protocol::FaultPlan;
 
 use crate::workloads::quantized_rates;
@@ -95,10 +81,6 @@ pub struct SessionsConfig {
     /// session overhead; the quick subset keeps the 384-bit minimum so
     /// the debug-build tier-1 test stays fast.
     pub key_bits: usize,
-    /// At most this many threaded sessions are timed per cell (prefix of
-    /// the batch; the sequential path's per-session cost is
-    /// batch-independent).
-    pub threaded_sample_cap: usize,
     /// Per-cell time budget in nanoseconds for the min-of-reps loop.
     pub target_ns_per_cell: u128,
 }
@@ -117,7 +99,6 @@ impl SessionsConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             blocks: 60,
             key_bits: 1024,
-            threaded_sample_cap: 16,
             target_ns_per_cell: 1_000_000_000,
         }
     }
@@ -128,7 +109,6 @@ impl SessionsConfig {
             m_sizes: vec![4, 16],
             batch_sizes: vec![1, 8],
             key_bits: dls_crypto::rsa::MIN_MODULUS_BITS,
-            threaded_sample_cap: 2,
             target_ns_per_cell: 50_000_000,
             ..SessionsConfig::full()
         }
@@ -144,14 +124,13 @@ pub struct SessionsEntry {
     pub m: usize,
     /// Sessions per batch.
     pub batch: usize,
-    /// `"threaded"` or `"pooled"`.
+    /// Execution path; always `"pooled"`.
     pub path: &'static str,
     /// Crypto profile the cell ran under: `"amortized"` (Montgomery
     /// contexts + round-shared verification cache) or `"per-receiver"`
     /// (plain `pow_mod`, re-verified by every receiver).
     pub verify: &'static str,
-    /// Sessions actually executed in the timed block (the full batch on
-    /// the pooled path; a prefix sample on the threaded path).
+    /// Sessions executed in the timed block (the full batch).
     pub sessions_timed: usize,
     /// Best-of-reps wall-clock per session, nanoseconds (fractional).
     pub ns_per_session: f64,
@@ -336,54 +315,9 @@ pub fn run_sweep(cfg: &SessionsConfig) -> Result<Vec<SessionsEntry>, String> {
                 ns_per_session: ns,
                 sessions_per_sec: ops,
             });
-
-            // Threaded path: a prefix sample, sequentially (per-session
-            // cost is batch-independent on this path). Single rep once the
-            // sample is thread-pool-scale work.
-            let sample = batch.min(cfg.threaded_sample_cap.max(1));
-            let sampled = cfgs.get(..sample).unwrap_or(&cfgs);
-            let big = m * sample >= 256;
-            let max_reps = if big { 1 } else { 16 };
-            let (ns_block, last) = time_ns_bounded(cfg.target_ns_per_cell, 1, max_reps, || {
-                for c in sampled {
-                    run_session(c).map_err(|e| format!("threaded session failed: {e}"))?;
-                }
-                Ok::<(), String>(())
-            });
-            last?;
-            let ns = ns_block as f64 / sample as f64;
-            let ops = sessions_per_sec(sample as u128, ns_block);
-            eprintln!("ncp-fe   m={m:4} batch={batch:5} threaded amortized    {ns:>14.1} ns/session  {ops:>8} sessions/s  (sample={sample})");
-            entries.push(SessionsEntry {
-                model: "ncp-fe",
-                m,
-                batch,
-                path: "threaded",
-                verify: "amortized",
-                sessions_timed: sample,
-                ns_per_session: ns,
-                sessions_per_sec: ops,
-            });
         }
     }
     Ok(entries)
-}
-
-/// Speedup of the pooled path over the threaded path at `(m, batch)`,
-/// both under amortized verification; `None` when either entry is
-/// missing.
-pub fn pooled_speedup(entries: &[SessionsEntry], m: usize, batch: usize) -> Option<f64> {
-    let find = |path: &str| {
-        entries
-            .iter()
-            .find(|e| e.m == m && e.batch == batch && e.path == path && e.verify == "amortized")
-            .map(|e| e.ns_per_session)
-    };
-    let (pooled, threaded) = (find("pooled")?, find("threaded")?);
-    if pooled <= 0.0 {
-        return None;
-    }
-    Some(threaded / pooled)
 }
 
 /// Speedup of amortized verification over the per-receiver baseline at
@@ -413,7 +347,7 @@ pub fn render_json(cfg: &SessionsConfig, entries: &[SessionsEntry]) -> String {
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!(
-        "  \"config\": {{\"seed\": {}, \"z\": {:?}, \"lo\": {:?}, \"hi\": {:?}, \"denom\": {}, \"blocks\": {}, \"workers\": {}, \"key_bits\": {}, \"scenario_cycle\": {}, \"threaded_sample_cap\": {}}},\n",
+        "  \"config\": {{\"seed\": {}, \"z\": {:?}, \"lo\": {:?}, \"hi\": {:?}, \"denom\": {}, \"blocks\": {}, \"workers\": {}, \"key_bits\": {}, \"scenario_cycle\": {}}},\n",
         cfg.seed,
         cfg.z,
         cfg.lo,
@@ -422,8 +356,7 @@ pub fn render_json(cfg: &SessionsConfig, entries: &[SessionsEntry]) -> String {
         cfg.blocks,
         cfg.workers,
         cfg.key_bits,
-        SCENARIO_CYCLE,
-        cfg.threaded_sample_cap
+        SCENARIO_CYCLE
     ));
     s.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -493,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_speedup_reads_matching_entries() {
+    fn crypto_speedup_reads_matching_entries() {
         let mk = |path: &'static str, verify: &'static str, ns: f64| SessionsEntry {
             model: "ncp-fe",
             m: 16,
@@ -507,10 +440,7 @@ mod tests {
         let entries = vec![
             mk("pooled", "amortized", 100.0),
             mk("pooled", "per-receiver", 700.0),
-            mk("threaded", "amortized", 1500.0),
         ];
-        assert_eq!(pooled_speedup(&entries, 16, 1024), Some(15.0));
-        assert_eq!(pooled_speedup(&entries, 4, 1024), None);
         assert_eq!(crypto_speedup(&entries, 16, 1024), Some(7.0));
         assert_eq!(crypto_speedup(&entries, 4, 1024), None);
     }

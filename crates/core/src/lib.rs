@@ -164,7 +164,7 @@ impl Session {
     /// Runs the full DLS-BL-NCP protocol and returns the outcome.
     pub fn run(&self) -> Result<SessionOutcome, SessionError> {
         let cfg = self.config().map_err(SessionError::Config)?;
-        dls_protocol::runtime::run_session(&cfg).map_err(SessionError::Run)
+        dls_protocol::run_session_vm(&cfg).map_err(SessionError::Run)
     }
 }
 

@@ -25,7 +25,8 @@
 //! * **state-machine** — the executor's `ProcessorState`/`RefereeState`
 //!   transition graphs must match the declared phase-order spec.
 //! * **lock-order** — `Mutex`/`Condvar` acquisition nesting across the
-//!   threaded runtime must be cycle-free.
+//!   session service, its supervisor and the shared session caches must
+//!   be cycle-free.
 //! * **unchecked-arith** — no bare `+ - * <<` on integer limbs in the
 //!   bignum kernels outside wrapping/checked/widening forms.
 //!

@@ -54,7 +54,7 @@ fn main() -> ExitCode {
                      Cross-file passes: determinism (wall-clock/unordered \
                      collections in virtual-time modules), state-machine \
                      (executor phase-order spec), lock-order (deadlock \
-                     cycles in the threaded oracle), unchecked-arith (bare \
+                     cycles in the service and session caches), unchecked-arith (bare \
                      operators in the bignum limb kernels).\n\
                      Suppress a finding with `// dls-lint: allow(<rule>) -- <reason>`;\n\
                      --baseline accepts findings listed in a lint_baseline.json."

@@ -14,10 +14,12 @@
 //!   a message sequence — `RandomState` hashing makes the order differ
 //!   *between processes*, so two honest runs sign different bytes.
 //!
-//! The threaded oracle (`runtime.rs`) legitimately reads real deadlines for
-//! its phase barriers and sleeps to model injected delay faults; those
-//! sites carry mandatory-reason suppressions rather than being scoped out,
-//! so any *new* wall-clock read there needs a written justification too.
+//! Every session path is virtual-time: phase deadlines and injected delay
+//! faults advance `VirtualClock`, so `runtime.rs` and the executor carry no
+//! suppression at all. The one legitimate wall-clock read is the service's
+//! enqueue→complete latency stamp, behind a mandatory-reason suppression in
+//! `service.rs`'s private `latency` module; any *new* wall-clock read in
+//! scope needs a written justification too.
 
 use crate::diag::Diagnostic;
 use crate::rules::{in_ranges, DETERMINISM};

@@ -1,11 +1,14 @@
-//! Lock-order pass: static deadlock-freedom for the threaded oracle.
+//! Lock-order pass: static deadlock-freedom for the session service.
 //!
-//! The threaded runtime's phase barriers (`PhaseBarrier` = one `Mutex` +
-//! `Condvar`) and the shared caches only stay deadlock-free as long as no
-//! two threads acquire the same pair of locks in opposite orders. Today
-//! the nesting is tiny — `Net::broadcast` holds `bcast` while `record`
-//! takes `stats` — but the survivor re-solve and multi-load roadmap items
-//! add lock sites faster than anyone re-audits them by hand.
+//! The service's parking lots (idle workers, blocked submitters, stalled
+//! workers, the supervisor — each one `Mutex` + `Condvar`), its results
+//! table and in-progress registry, and the process-wide session caches
+//! (seeded keys, data sets, signatures) only stay deadlock-free as long as
+//! no two threads acquire the same pair of locks in opposite orders. The
+//! nesting is small — `publish` holds the results table while it clears
+//! the in-progress registry and wakes the supervisor — but recovery and
+//! shutdown paths add lock sites faster than anyone re-audits them by
+//! hand.
 //!
 //! The pass extracts, per function, the sequence of `<lock>.lock()`
 //! acquisitions plus calls into other scoped functions, closes the call
@@ -13,8 +16,8 @@
 //! `A -> B` whenever `B` is (or may be, through a callee) acquired while
 //! `A` is held. A cycle in that graph is a potential deadlock and fails
 //! the gate. It also flags a condvar `wait`/`wait_for` reached while more
-//! than one lock is held — the barrier protocol parks with exactly its own
-//! state lock.
+//! than one lock is held — every parking lot parks with exactly its own
+//! mutex.
 //!
 //! Over-approximations (documented, deliberate): a guard is assumed held
 //! until the end of its function (drops are invisible lexically), locks
@@ -27,7 +30,7 @@ use crate::lexer::TokenKind;
 use crate::rules::{match_brace, LOCK_ORDER};
 use crate::SourceFile;
 
-/// Files holding the threaded runtime's locks and barrier code.
+/// Files holding the service's locks and the session caches' locks.
 const SCOPE: &[&str] = &[
     "crates/protocol/src/runtime.rs",
     "crates/protocol/src/executor.rs",

@@ -12,9 +12,9 @@
 //! * [`state_machine`] — the executor's phase order (Bidding → … → Done)
 //!   is the protocol itself; an undeclared transition is a protocol bug
 //!   even when no current test drives it.
-//! * [`lock_order`] — the threaded oracle's phase barriers must stay
-//!   deadlock-free or the deadline semantics the virtual executor mirrors
-//!   stop meaning anything.
+//! * [`lock_order`] — the service's worker, admission, supervisor and
+//!   result locks and the shared session caches must stay deadlock-free,
+//!   or an accepted ticket can hang instead of resolving.
 //! * [`arith`] — exact payment agreement is only as sound as the bignum
 //!   limb kernels; a silently wrapping `+` would corrupt `Q_i` bit-exactly
 //!   on every honest node at once.

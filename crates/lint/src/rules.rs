@@ -80,9 +80,10 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     ),
     (
         LOCK_ORDER,
-        "Mutex/Condvar acquisition nesting across the threaded runtime must \
-         form an acyclic lock graph, and a condvar wait may hold only its \
-         own lock (static deadlock-freedom for the phase barriers)",
+        "Mutex/Condvar acquisition nesting across the session service, its \
+         supervisor and the shared session caches must form an acyclic lock \
+         graph, and a condvar wait may hold only its own lock (static \
+         deadlock-freedom for the service's parking lots)",
     ),
     (
         UNCHECKED_ARITH,

@@ -34,7 +34,7 @@ pub struct CentralizedOutcome {
 }
 
 /// Runs the DLS-BL mechanism with a trusted control processor on the same
-/// configuration format as [`crate::runtime::run_session`].
+/// configuration format as [`crate::executor::run_session_vm`].
 ///
 /// Only the CP system model applies; the configuration's behaviours are
 /// honoured for bids and execution speed (protocol offences like

@@ -1,24 +1,32 @@
 //! Event-driven session executor: the DLS-BL-NCP round as explicit state
 //! machines stepped by one deterministic loop, multiplexed over a fixed
-//! worker pool.
+//! worker pool. It is the one protocol runtime: a single session
+//! ([`run_session_vm`]), a pooled batch ([`run_session_pooled`]) and every
+//! session the service ([`crate::service`]) runs all go through
+//! `drive_session`.
 //!
-//! The threaded runtime ([`crate::runtime::run_session`]) spends its time
-//! on OS machinery — m+1 thread spawns, condvar parks at twelve phase
-//! barriers, real `thread::sleep` for injected delays — none of which is
-//! the mechanism's arithmetic. This module re-expresses one round as data:
+//! One round is data, not threads:
 //!
 //! * every processor is a [`ProcessorState`] machine ([`ProcMachine`])
 //!   advanced through the protocol phases by the engine;
 //! * the referee is a [`RefereeState`] machine embedded in the engine
-//!   loop, running the *same* adjudication code as the threaded referee
-//!   (`adjudicate_*`, sweeps, verdict merging are shared functions);
-//! * the twelve lock-step barriers become calls to
+//!   loop, calling the referee's `adjudicate_*` and the shared verdict
+//!   and verification helpers in [`crate::runtime`];
+//! * the twelve lock-step phase barriers are calls to
 //!   [`crate::sched::resolve_barrier`] on a per-session virtual
 //!   millisecond clock: `DelayAt` faults post late arrival events and the
 //!   phase budget posts a deadline event, so a party whose arrival misses
-//!   the deadline is removed exactly like the threaded referee's
-//!   `wait_deadline_as` removal — in microseconds of real time instead of
-//!   a real-time budget wait.
+//!   the deadline is removed and recorded as crashed without any real
+//!   time passing.
+//!
+//! The in-memory transport models the paper's network assumptions: agents
+//! choose *what* to send, never how it is delivered; a broadcast reaches
+//! every peer in one step (reliable atomic broadcast, so equivocation
+//! takes two broadcasts, which peers detect as in §4); and every message
+//! is counted by category and wire size, the measurement behind
+//! experiment E10 (Theorem 5.4: Θ(m²)). Parties act in processor-index
+//! order at every step, so with several simultaneous equivocators the
+//! reported conflict is picked by sender index.
 //!
 //! [`run_session_pooled`] shards N independent sessions across a fixed
 //! `std::thread::scope` pool (session `s` → worker `s mod workers`, no
@@ -26,32 +34,38 @@
 //!
 //! ## Bit-exactness contract
 //!
-//! The threaded path stays the oracle. For every builder-validated
-//! configuration, the event-driven path produces a [`SessionOutcome`]
-//! bit-identical to [`crate::runtime::run_session`] — allocations,
-//! payments, fines, message accounting, and fault-plan degradation
-//! reports. This holds by construction:
+//! Outcomes are checked against oracles that share no code with this
+//! module:
 //!
-//! * the outer session loop (round retries, ledger, degradation policy,
-//!   timeline) is literally shared: both paths run
-//!   `run_session_with`, differing only in the round function;
-//! * all float computation (α, counts, observed rates, payments) is the
-//!   same code on the same inputs, so results are bit-equal; values every
-//!   processor would derive identically from broadcast data (the agreed
-//!   bid vector, α, the base payment vector) are computed once and
-//!   shared, which cannot change a single bit of any output;
+//! * **frozen outcome digests** — SHA-256 of the `Debug` rendering of
+//!   every outcome in the differential matrix
+//!   (`tests/tests/executor_differential.rs`, plus this module's unit
+//!   tests), recorded while a separate thread-per-party runtime still ran
+//!   beside this one and agreed with it bit for bit. The single-session,
+//!   pooled and service paths must all reproduce them;
+//! * **the trusted market** — `dls_mechanism::Market::run` on the same
+//!   rates gives the payments a compliant session must reach
+//!   (`tests/tests/end_to_end.rs`);
+//! * **exact payments** — `dls_mechanism::exact::compute_payments_exact`
+//!   over rationals checks the f64 payment pipeline
+//!   (`tests/tests/differential.rs`).
+//!
+//! The execution paths agree with each other by construction:
+//!
+//! * they all run `drive_session`, so the session loop (round retries,
+//!   ledger, degradation policy, timeline) and the round are the same
+//!   code; the paths differ only in which worker runs a session and when;
+//! * values every processor would derive identically from broadcast data
+//!   (the agreed bid vector, α, the base payment vector) are computed once
+//!   and shared, which cannot change a single bit of any output;
 //! * RSA signing is deterministic in (key, message), so the per-setup
 //!   signature cache reconstructs byte-identical envelopes, and the
 //!   user-signed data set is deterministic in `(seed, key_bits, blocks)`
 //!   so it is prepared once per setup and shared.
 //!
-//! Two documented divergences, both outside builder-valid configurations:
-//! a `DelayAt` at or beyond the phase budget (the builder rejects it) has
-//! its pre-barrier sends suppressed differently than a racing threaded
-//! zombie, and with *multiple* equivocators the threaded runtime's
-//! last-received conflict is scheduler-dependent while this executor picks
-//! the deterministic sender-index order (the differential suite pins the
-//! single-equivocator case, where both agree).
+//! A `DelayAt` at or beyond the phase budget is outside builder-valid
+//! configurations (the builder rejects it); in a hand-assembled config
+//! the delayed party misses that phase's deadline and is removed.
 
 use crate::blocks::{integer_allocation, DataSet, SignedBlock, USER_IDENTITY};
 use crate::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
@@ -61,10 +75,9 @@ use crate::messages::{
 };
 use crate::referee::{Phase, Referee};
 use crate::runtime::{
-    faulted_send, generate_keys_cached, merge_defaults, missing, record_verdict, referee_model,
-    referee_registry, referee_z, remap_active_configs, run_session_with, vectors_all_equal,
-    verify_bid_view, verify_profiled, MessageStats, ProcResult, ProtocolViolation, RefResult,
-    RoundOutput, RunError, SessionOutcome,
+    faulted_send, generate_keys_cached, merge_defaults, missing, record_verdict,
+    remap_active_configs, run_session_with, vectors_all_equal, verify_bid_view, verify_profiled,
+    MessageStats, ProcResult, ProtocolViolation, RefResult, RoundOutput, RunError, SessionOutcome,
 };
 use crate::sched::{resolve_barrier, shard, EventQueue, VirtualClock};
 use dls_crypto::pki::{KeyPair, Registry};
@@ -158,11 +171,11 @@ fn sign_cached<T: Serialize>(
 // Virtual transport
 // ---------------------------------------------------------------------------
 
-/// The in-memory stand-in for the threaded `Net`: same recording rules
-/// (a processor broadcast counts m−1 copies, a referee broadcast m, point
-/// links 1; garbage frames are recorded but dropped at processor intake),
-/// with channel queues replaced by per-processor `VecDeque`s and bid
-/// broadcasts additionally logged for the shared collection pass.
+/// The in-memory transport. Recording rules: a processor broadcast
+/// counts m−1 copies, a referee broadcast m, point links 1; garbage
+/// frames are recorded but dropped at processor intake. Each processor
+/// has a `VecDeque` inbox, and bid broadcasts are additionally logged for
+/// the shared collection pass.
 ///
 /// The queues themselves are borrowed from the worker's [`VmScratch`]
 /// arena, so a long-lived worker allocates its inboxes once and reuses
@@ -221,7 +234,7 @@ impl<'a> VmNet<'a> {
             // Bids go to the shared collection log (verified once).
             Msg::Bid(signed) => self.bid_log.push((from, signed)),
             // Garbage frames are dropped at processor inbox intake,
-            // exactly like `ProcInbox`.
+            // like a payload that fails signature verification (§4).
             Msg::Garbage { .. } => {}
             other => {
                 for (j, q) in self.inboxes.iter_mut().enumerate().take(self.m) {
@@ -259,8 +272,8 @@ impl<'a> VmNet<'a> {
 
     /// Drains everything the referee has received since the last drain,
     /// in send order (the engine sends in processor-index order, so this
-    /// is deterministic where the threaded channel order was not — every
-    /// consumer of this ordering is order-insensitive or sorts). Draining
+    /// is deterministic; every consumer of this ordering is
+    /// order-insensitive or sorts). Draining
     /// in place keeps the arena buffer's allocation alive for the next
     /// collection point.
     fn drain_referee(&mut self) -> std::vec::Drain<'_, (usize, Msg)> {
@@ -268,9 +281,10 @@ impl<'a> VmNet<'a> {
     }
 }
 
-/// Removes and returns the first message `f` maps to `Some`, preserving
-/// the order of everything else (the `ProcInbox` hold-back discipline;
-/// garbage never reaches these queues).
+/// Removes and returns the first message `f` maps to `Some`, holding
+/// everything else back in order for later steps (a fast originator's
+/// grant can be queued behind a verdict not yet consumed; garbage never
+/// reaches these queues).
 fn take_first_msg<T>(
     q: &mut VecDeque<Msg>,
     mut f: impl FnMut(&Msg) -> Option<T>,
@@ -301,13 +315,13 @@ fn take_verdict(q: &mut VecDeque<Msg>) -> Option<Verdict> {
 }
 
 // ---------------------------------------------------------------------------
-// Liveness bookkeeping (mirror of the threaded RoundWatch, sans barrier)
+// Liveness bookkeeping
 // ---------------------------------------------------------------------------
 
-/// The referee's liveness ledger for one virtual round. Classification is
-/// identical to the threaded `RoundWatch`: a party missing at a barrier
-/// deadline is a crash; an alive party absent from a collection point is
-/// an omission, or garbage if it delivered a garbage frame.
+/// The referee's liveness ledger for one virtual round: a party missing
+/// at a barrier deadline is a crash; an alive party absent from a
+/// collection point is an omission, or garbage if it delivered a garbage
+/// frame.
 struct VmWatch {
     alive: Vec<bool>,
     garbage: BTreeSet<usize>,
@@ -545,9 +559,8 @@ impl Default for VmScratch {
 }
 
 /// Resolves one phase barrier in virtual time and applies removals:
-/// crashed machines keep their partial result (like a threaded crashed
-/// thread that already returned), live machines removed at the deadline
-/// default (like threaded zombies released with `Defaulted`).
+/// crashed machines keep their partial result, live machines removed at
+/// the deadline default and lose theirs.
 fn vm_barrier(
     phase: Phase,
     budget_ms: u64,
@@ -579,9 +592,8 @@ fn vm_barrier(
     }
 }
 
-/// Referee-side report collection from the virtual transport (mirror of
-/// the threaded `collect_reports`: reports sorted by sender, garbage
-/// senders listed separately).
+/// Referee-side report collection from the virtual transport: reports
+/// sorted by sender, garbage senders listed separately.
 fn collect_reports_vm(net: &mut VmNet<'_>) -> (Vec<(usize, PhaseReport)>, Vec<usize>) {
     let mut out = Vec::new();
     let mut garbage = Vec::new();
@@ -600,7 +612,7 @@ fn collect_reports_vm(net: &mut VmNet<'_>) -> (Vec<(usize, PhaseReport)>, Vec<us
 /// are byte-identical to the data set's original at the same id verified
 /// once when the set was prepared, so equality substitutes for the RSA
 /// check; anything else (tampered or foreign) falls back to a real
-/// verification, preserving the threaded path's per-block results.
+/// verification, so the per-block results equal verifying every block.
 fn count_valid_blocks(body: &GrantBody, dataset: &DataSet, registry: &Registry) -> usize {
     let same_block = |a: &SignedBlock, b: &SignedBlock| {
         a.signer() == b.signer()
@@ -680,10 +692,12 @@ fn collect_bids(
     BidCollection { slots, conflicts }
 }
 
-/// One DLS-BL-NCP round on the virtual clock. Same message schedule, same
-/// adjudication code, same outputs as the threaded `run_round` — bit for
-/// bit — with every barrier resolved by the event queue.
-pub(crate) fn run_round_vm(
+/// One DLS-BL-NCP round on the virtual clock, with every barrier
+/// resolved by the event queue. Each round is self-contained: identities
+/// `P1..Pk`, keys, registry and data set are re-derived from the session
+/// seed, so a survivor re-run is bit-identical to a from-scratch session
+/// over the same participant set.
+pub(crate) fn drive_round(
     cfg: &SessionConfig,
     active: &[usize],
     scratch: &mut VmScratch,
@@ -705,9 +719,10 @@ pub(crate) fn run_round_vm(
     let dataset = dataset_cached(cfg.seed, cfg.key_bits, cfg.blocks, &user)?;
     let originator = cfg.model.originator(m).ok_or(RunError::UnsupportedModel)?;
     let referee = Referee::new(registry.clone(), cfg.model, cfg.z, m, cfg.fine, cfg.blocks);
-    // Per-ROUND cache, like the threaded path: survivor re-runs rebind
-    // identities to different keys, so memoized verdicts must not outlive
-    // the round.
+    // Per-ROUND verification cache, never per-session: survivor re-runs
+    // rebind identities `P1..Pk` to different original processors, so the
+    // same (signer, body, signature) triple can verify under a different
+    // public key next round. Memoized verdicts must not outlive the round.
     let verify_cache = VerifyCache::new();
     let profile = cfg.crypto_profile;
 
@@ -1166,17 +1181,17 @@ pub(crate) fn run_round_vm(
             _ => {}
         }
     }
-    // Phase-level batch sweep (mirror of the threaded referee): settle
+    // Phase-level batch sweep: settle
     // every envelope's verdict once so the delivered sweep, equality
     // check, and any dispute path hit memoized verdicts.
     if profile == CryptoProfile::Amortized {
         for sv in &vectors {
-            let _ = sv.verify_cached(referee_registry(&referee), &verify_cache);
+            let _ = sv.verify_cached(referee.registry(), &verify_cache);
         }
     }
     let mut delivered = BTreeSet::new();
     for sv in &vectors {
-        if let Ok(body) = verify_profiled(sv, referee_registry(&referee), &verify_cache, profile) {
+        if let Ok(body) = verify_profiled(sv, referee.registry(), &verify_cache, profile) {
             if sv.signer() == format!("P{}", body.processor + 1) && body.processor < m {
                 delivered.insert(body.processor);
             }
@@ -1272,13 +1287,13 @@ pub(crate) fn run_round_vm(
             .at_phase(Phase::Payments),
         )
     })?;
-    let ref_params = BusParams::new(referee_z(&referee), agreed_bids.clone()).map_err(|_| {
+    let ref_params = BusParams::new(referee.z(), agreed_bids.clone()).map_err(|_| {
         RunError::Protocol(
             ProtocolViolation::invalid_state("verified bid view has invalid rates")
                 .at_phase(Phase::Payments),
         )
     })?;
-    let ref_alpha = dls_dlt::optimal::fractions(referee_model(&referee), &ref_params);
+    let ref_alpha = dls_dlt::optimal::fractions(referee.model(), &ref_params);
     let ref_observed: Vec<f64> = meters
         .iter()
         .zip(ref_alpha.iter())
@@ -1320,7 +1335,7 @@ pub(crate) fn drive_session(
     cfg: &SessionConfig,
     scratch: &mut VmScratch,
 ) -> Result<SessionOutcome, RunError> {
-    run_session_with(cfg, |c, active| run_round_vm(c, active, scratch))
+    run_session_with(cfg, |c, active| drive_round(c, active, scratch))
 }
 
 /// [`drive_session`] behind a panic barrier: a panic anywhere in the
@@ -1336,10 +1351,19 @@ pub(crate) fn drive_session_caught(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive_session(cfg, scratch))).ok()
 }
 
-/// Runs one session on the event-driven executor. Same contract and
-/// results as [`crate::runtime::run_session`], in microseconds instead of
-/// thread time; the session-level loop (degraded re-runs, ledger,
-/// timeline) is shared with the threaded path.
+/// Runs one DLS-BL-NCP session end to end: the single-session entry
+/// point.
+///
+/// Non-participants are excluded from the active market (they receive
+/// utility 0, per §4); behaviours whose `victim`/`target` indices point at
+/// non-participants degrade to [`Behavior::Compliant`].
+///
+/// A liveness fault detected before Processing defaults the absentee: it
+/// is fined `F`, excluded, and the survivors re-run the protocol over the
+/// remaining bid set. A fault during/after Processing completes the
+/// session degraded instead. If exclusions leave fewer than two live
+/// processors the session errors with
+/// [`crate::runtime::ViolationKind::QuorumLost`].
 pub fn run_session_vm(cfg: &SessionConfig) -> Result<SessionOutcome, RunError> {
     let mut scratch = VmScratch::new();
     drive_session(cfg, &mut scratch)
@@ -1427,7 +1451,6 @@ pub fn run_session_pooled_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_session;
     use dls_crypto::rsa::MIN_MODULUS_BITS;
     use dls_dlt::SystemModel;
 
@@ -1463,12 +1486,35 @@ mod tests {
         assert_eq!(a.degradation.faults, b.degradation.faults);
     }
 
+    /// Hex SHA-256 of an outcome's `Debug` rendering, which formats every
+    /// float at its shortest round-trip form and so is bit-exact.
+    fn outcome_digest(o: &SessionOutcome) -> String {
+        dls_crypto::sha256::to_hex(&dls_crypto::sha256::digest(format!("{o:?}").as_bytes()))
+    }
+
+    // Outcome digests of `base_cfg` sessions, recorded at commit 6754f5bd880b
+    // from the thread-per-party runtime (one OS thread per processor and
+    // one for the referee, condvar phase barriers), which these tests then
+    // asserted bit-identical to this executor. That runtime has since been
+    // removed; its outcomes stay pinned here.
+    /// All compliant (the per-receiver profile renders the same outcome).
+    const THREADED_TRUTHFUL: &str =
+        "0efffc39431a12310978176d4685289d5c17cace67ad87ec6d25a57861fdf90f";
+    /// All compliant, P3 crashes at Bidding.
+    const THREADED_CRASH_BIDDING: &str =
+        "ce55b01a76813df062eebcbea00c403db457c177534b617430a8331351baa606";
+    /// P1 equivocates (factor 1.5), per-receiver profile.
+    const THREADED_EQUIVOCATE_PER_RECEIVER: &str =
+        "9d49461ea4759fd26e16f9a800f2057b791c30f03a299696cdfb868c8a48eb33";
+    /// P2 corrupts P1's payment (factor 0.25), per-receiver profile.
+    const THREADED_CORRUPT_PAYMENTS_PER_RECEIVER: &str =
+        "8acde849ebd0c712bc83565c13c5be94da4dacf4205d065e326dfbe5d10b3957";
+
     #[test]
     fn truthful_session_matches_threaded_bit_for_bit() {
         let cfg = base_cfg(&[Behavior::Compliant; 4]);
-        let threaded = run_session(&cfg).expect("threaded");
         let vm = run_session_vm(&cfg).expect("vm");
-        outcomes_equal(&threaded, &vm);
+        assert_eq!(outcome_digest(&vm), THREADED_TRUTHFUL);
     }
 
     #[test]
@@ -1477,9 +1523,8 @@ mod tests {
         if let Some(p) = cfg.processors.get_mut(2) {
             p.fault = FaultPlan::CrashAt(Phase::Bidding);
         }
-        let threaded = run_session(&cfg).expect("threaded");
         let vm = run_session_vm(&cfg).expect("vm");
-        outcomes_equal(&threaded, &vm);
+        assert_eq!(outcome_digest(&vm), THREADED_CRASH_BIDDING);
         assert!(!vm.degradation.is_clean());
     }
 
@@ -1505,18 +1550,18 @@ mod tests {
     fn per_receiver_profile_is_outcome_neutral() {
         // The crypto profile changes how many modexps verification spends,
         // never a verdict: amortized and per-receiver sessions must be
-        // bit-identical, on both executors, across a clean run, an
-        // equivocation abort, and a payment dispute (the dispute exercises
-        // the profiled bid-view adjudication path).
-        let scenarios: [&[Behavior]; 3] = [
-            &[Behavior::Compliant; 4],
-            &[
+        // bit-identical to each other and to the frozen threaded outcome,
+        // across a clean run, an equivocation abort, and a payment dispute
+        // (the dispute exercises the profiled bid-view adjudication path).
+        let scenarios: [(&[Behavior], &str); 3] = [
+            (&[Behavior::Compliant; 4], THREADED_TRUTHFUL),
+            (&[
                 Behavior::EquivocateBids { factor: 1.5 },
                 Behavior::Compliant,
                 Behavior::Compliant,
                 Behavior::Compliant,
-            ],
-            &[
+            ], THREADED_EQUIVOCATE_PER_RECEIVER),
+            (&[
                 Behavior::Compliant,
                 Behavior::CorruptPayments {
                     target: 0,
@@ -1524,17 +1569,16 @@ mod tests {
                 },
                 Behavior::Compliant,
                 Behavior::Compliant,
-            ],
+            ], THREADED_CORRUPT_PAYMENTS_PER_RECEIVER),
         ];
-        for behaviors in scenarios {
+        for (behaviors, frozen) in scenarios {
             let amortized = base_cfg(behaviors);
             let mut naive = base_cfg(behaviors);
             naive.crypto_profile = CryptoProfile::PerReceiverNaive;
             let a = run_session_vm(&amortized).expect("amortized vm");
             let b = run_session_vm(&naive).expect("per-receiver vm");
             outcomes_equal(&a, &b);
-            let threaded = run_session(&naive).expect("per-receiver threaded");
-            outcomes_equal(&threaded, &b);
+            assert_eq!(outcome_digest(&b), frozen);
         }
     }
 

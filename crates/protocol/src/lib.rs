@@ -34,10 +34,14 @@
 //!   [`config::Behavior`] catalogue of deviant strategies (equivocators,
 //!   misreporters, slackers, cheating originators, payment corrupters,
 //!   false accusers).
-//! * [`runtime`] — a threaded message-passing execution: one OS thread per
-//!   processor plus the referee, connected by channels that model the
-//!   tamper-proof network with atomic broadcast; every message is counted
-//!   (experiment E10, Theorem 5.4 Θ(m²)).
+//! * [`executor`] — the protocol round as explicit processor and referee
+//!   state machines stepped by one deterministic loop on a virtual clock,
+//!   over an in-memory transport that models the tamper-proof network
+//!   with atomic broadcast; every message is counted (experiment E10,
+//!   Theorem 5.4 Θ(m²)). [`run_session_vm`] runs one session,
+//!   [`run_session_pooled`] a batch over a worker pool.
+//! * [`runtime`] — the session loop around the rounds (degraded re-runs,
+//!   ledger, realized timeline) and the outcome and error types.
 //! * [`referee`] — evidence types and adjudication, fines and reward
 //!   distribution (Lemmas 5.1–5.2, Theorem 5.1).
 //! * [`ledger`] — conservation-checked accounting of payments, fines and
@@ -59,7 +63,7 @@
 //!     .seed(42)
 //!     .build()
 //!     .unwrap();
-//! let outcome = dls_protocol::runtime::run_session(&cfg).unwrap();
+//! let outcome = dls_protocol::run_session_vm(&cfg).unwrap();
 //! println!("status: {:?}", outcome.status);
 //! ```
 
@@ -91,7 +95,4 @@ pub use service::{
 };
 pub use supervisor::{ServiceFault, ServiceFaultPlan, ServiceStats};
 pub use fault::{DegradationReport, FaultKind, FaultPlan, LivenessFault};
-pub use runtime::{
-    run_session, ActorRole, ProtocolViolation, RunError, SessionOutcome, SessionStatus,
-    ViolationKind,
-};
+pub use runtime::{ProtocolViolation, RunError, SessionOutcome, SessionStatus, ViolationKind};

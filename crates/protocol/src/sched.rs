@@ -1,19 +1,17 @@
 //! Deterministic scheduling primitives for the event-driven session
 //! executor ([`crate::executor`]).
 //!
-//! The threaded runtime spends real wall-clock time in two places: parties
-//! park on a condvar barrier at every phase boundary, and injected
-//! `DelayAt` faults call `thread::sleep`. The executor replaces both with
-//! **virtual time**: a per-session millisecond clock that only ever jumps
-//! forward to the completion time of the next phase barrier. A barrier is
-//! resolved by a tiny discrete-event loop — every party posts an *arrival*
-//! event (its injected delay past the phase start), the referee posts the
-//! *deadline* event (phase start + budget), and events are popped in
-//! `(time, sequence)` order. Parties whose arrival pops at or after the
-//! deadline are removed exactly like the threaded referee removes parties
-//! still missing when `wait_deadline_as` expires. The whole chaos matrix
-//! therefore resolves in microseconds of real time while reporting the
-//! same faults, verdicts and degradation as the threaded oracle.
+//! Phase barriers and injected `DelayAt` faults run in **virtual time**:
+//! a per-session millisecond clock that only ever jumps forward to the
+//! completion time of the next phase barrier. No party parks and nothing
+//! sleeps. A barrier is resolved by a tiny discrete-event loop — every
+//! party posts an *arrival* event (its injected delay past the phase
+//! start), the referee posts the *deadline* event (phase start + budget),
+//! and events are popped in `(time, sequence)` order. Parties whose
+//! arrival pops at or after the deadline are removed and recorded as
+//! crashed. The whole chaos matrix therefore resolves in microseconds of
+//! real time while reporting the faults, verdicts and degradation a
+//! real-time deadline would produce.
 //!
 //! Also here: the fixed-pool *sharding* rule — session `s` belongs to
 //! worker `s mod workers`, no work stealing — so a batch of N sessions is
@@ -62,11 +60,10 @@ pub enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     time_ms: u64,
-    // Encoded so `Ord` can be derived: arrivals before the deadline at the
-    // same timestamp would be a tie the threaded barrier resolves as
-    // "removed" (the deadline check runs `now >= deadline`), so the
-    // deadline must win ties — `kind_rank` (0 = Deadline, 1 = Arrive)
-    // therefore sorts before the insertion sequence.
+    // Encoded so `Ord` can be derived: an arrival exactly at the deadline
+    // is late (the check is `now >= deadline`), so the deadline must win
+    // ties — `kind_rank` (0 = Deadline, 1 = Arrive) therefore sorts before
+    // the insertion sequence.
     kind_rank: u8,
     seq: u64,
     party: usize,
@@ -83,8 +80,8 @@ impl Event {
 }
 
 /// A deterministic min-heap of timed events. Ties on the timestamp are
-/// broken by kind (deadline first, matching the threaded barrier's
-/// `now >= deadline` removal check) and then by insertion order, so a
+/// broken by kind (deadline first: an arrival exactly at the deadline is
+/// late) and then by insertion order, so a
 /// replay of the same pushes always pops the same sequence.
 #[derive(Debug, Default)]
 pub struct EventQueue {
@@ -135,8 +132,7 @@ pub struct BarrierOutcome {
     /// arrival, or the deadline when parties were removed.
     pub completed_at_ms: u64,
     /// Parties removed because their arrival missed the deadline, in
-    /// ascending id order (the threaded barrier also reports its missing
-    /// set in id order).
+    /// ascending id order.
     pub removed: Vec<usize>,
 }
 
@@ -146,9 +142,8 @@ pub struct BarrierOutcome {
 /// barrier; `delay_ms` is the party's injected delay past the phase start
 /// (zero for everyone without a matching `DelayAt` fault). The referee's
 /// deadline sits at `now_ms + budget_ms`. A party whose arrival would pop
-/// at or after the deadline event is removed — mirroring the threaded
-/// semantics where the sleeping thread is still absent when the referee's
-/// `wait_deadline_as` expires and is dropped from the barrier.
+/// at or after the deadline event is removed: it is still absent when
+/// the referee closes the barrier.
 pub fn resolve_barrier(
     queue: &mut EventQueue,
     now_ms: u64,
@@ -325,8 +320,8 @@ mod tests {
 
     #[test]
     fn barrier_removes_exactly_at_deadline() {
-        // delay == budget: the deadline event outranks the tied arrival,
-        // mirroring the threaded `now >= deadline` removal check.
+        // delay == budget: the deadline event outranks the tied arrival
+        // (`now >= deadline` removes).
         let mut q = EventQueue::new();
         let out = resolve_barrier(&mut q, 0, 50, &[(0, 0), (1, 50)]);
         assert_eq!(out.removed, vec![1]);

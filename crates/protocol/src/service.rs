@@ -56,7 +56,7 @@
 //! and event queue in the worker's scratch arena. Which worker runs a
 //! session, when, and on which attempt is a wall-clock concern that
 //! never feeds the protocol: outcomes are bit-exact against the
-//! static-shard pooled path and the threaded oracle even when the
+//! static-shard pooled path and the frozen outcome digests even when the
 //! session's first worker was killed mid-job (pinned by
 //! `tests/tests/{service_differential,service_chaos}.rs`). Wall-clock
 //! enters exactly once — the [`latency`] module — and those readings are
@@ -702,6 +702,11 @@ impl Shared {
             }
         };
         self.forget_running(ticket);
+        if self.drained_after_shutdown() {
+            // The last job after shutdown: the supervisor may be parked
+            // for a whole tick waiting for exactly this.
+            self.wake_supervisor();
+        }
         if !fresh {
             return;
         }
@@ -935,7 +940,7 @@ impl Shared {
         self.idle_cv.notify_all();
         self.admit_cv.notify_all();
         self.stall_cv.notify_all();
-        self.sup_cv.notify_all();
+        self.wake_supervisor();
         self.results_cv.notify_all();
     }
 }
@@ -1080,6 +1085,9 @@ impl ServiceHandle {
         // the ticket is being resolved normally and stays accepted.
         if shared.shutdown.load(Ordering::SeqCst) && shared.cancel_queued(target, ticket) {
             shared.unmark_pending(ticket);
+            if shared.drained_after_shutdown() {
+                shared.wake_supervisor();
+            }
             return Err(SubmitError::ShutDown);
         }
         Ok(ticket)
@@ -1304,6 +1312,26 @@ mod tests {
         svc.shutdown();
         svc.shutdown();
         assert!(svc.wait(t).is_some());
+    }
+
+    #[test]
+    fn shutdown_with_a_job_in_flight_returns_promptly_under_a_long_tick() {
+        // A 60 s tick: if shutdown's wakeup or the last job's drain could
+        // slip past the supervisor's exit check, the join below would wait
+        // out the whole tick.
+        let svc = start(ServiceConfig {
+            tick: Duration::from_secs(60),
+            ..ServiceConfig::stealing(2)
+        });
+        let t = svc.submit(cfg(80)).expect("admitted");
+        let begun = latency::Stamp::now();
+        svc.shutdown();
+        let took_ns = begun.elapsed_ns();
+        assert!(
+            took_ns < 1_000_000_000,
+            "shutdown with a job in flight took {took_ns} ns"
+        );
+        assert!(svc.wait(t).is_some_and(|done| done.outcome.is_ok()));
     }
 
     #[test]

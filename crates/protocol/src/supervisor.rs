@@ -548,6 +548,13 @@ impl Shared {
     /// The supervisor thread: sweep for dead and stalled workers every
     /// tick (or immediately when a [`DeathWatch`] fires), exit once
     /// shutdown is flagged and nothing is queued or in progress.
+    ///
+    /// The exit check and the wait both happen under `sup_mx`, and the
+    /// wakeups that can make the check pass — shutdown's broadcast and
+    /// the drain of the last job after it — notify under `sup_mx` too
+    /// ([`Shared::wake_supervisor`]). A wakeup therefore cannot land
+    /// between the check and the wait, so shutdown never waits out a
+    /// whole tick.
     pub(crate) fn supervisor_loop(self: &Arc<Self>) {
         let mut seen: Vec<(u64, u32)> = vec![(0, 0); self.slots.len()];
         loop {
@@ -555,14 +562,24 @@ impl Shared {
             if self.stall_ticks > 0 {
                 self.sweep_stalls(&mut seen);
             }
-            if self.shutdown.load(Ordering::SeqCst)
-                && self.queued_total() == 0
-                && self.running_empty()
-            {
+            let mut guard = self.sup_mx.lock();
+            if self.drained_after_shutdown() {
                 return;
             }
-            let mut guard = self.sup_mx.lock();
             self.sup_cv.wait_for(&mut guard, self.tick);
         }
+    }
+
+    /// `true` once shutdown is flagged and no job is queued or in
+    /// progress: the supervisor's exit condition.
+    pub(crate) fn drained_after_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) && self.queued_total() == 0 && self.running_empty()
+    }
+
+    /// Wakes the supervisor while holding `sup_mx`, so the wakeup cannot
+    /// fall between its exit check and its wait.
+    pub(crate) fn wake_supervisor(&self) {
+        let _guard = self.sup_mx.lock();
+        self.sup_cv.notify_all();
     }
 }

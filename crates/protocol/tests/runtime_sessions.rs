@@ -4,7 +4,8 @@
 use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
 use dls_protocol::referee::Phase;
-use dls_protocol::runtime::{run_session, RunError, SessionStatus};
+use dls_protocol::run_session_vm;
+use dls_protocol::runtime::{RunError, SessionStatus};
 
 const Z: f64 = 0.2;
 
@@ -34,13 +35,13 @@ fn compliant3(model: SystemModel) -> SessionConfig {
 #[test]
 fn cp_model_rejected() {
     let cfg = compliant3(SystemModel::Cp);
-    assert!(matches!(run_session(&cfg), Err(RunError::UnsupportedModel)));
+    assert!(matches!(run_session_vm(&cfg), Err(RunError::UnsupportedModel)));
 }
 
 #[test]
 fn compliant_session_completes_cleanly() {
     for model in [SystemModel::NcpFe, SystemModel::NcpNfe] {
-        let out = run_session(&compliant3(model)).unwrap();
+        let out = run_session_vm(&compliant3(model)).unwrap();
         assert_eq!(out.status, SessionStatus::Completed, "{model}");
         assert!(out.fined_processors().is_empty());
         assert!(out.ledger.conservation_error().abs() < 1e-9);
@@ -75,8 +76,8 @@ fn compliant_session_completes_cleanly() {
 
 #[test]
 fn misreporting_is_legal_but_unprofitable() {
-    let honest = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
-    let lying = run_session(&session(
+    let honest = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
+    let lying = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -99,8 +100,8 @@ fn misreporting_is_legal_but_unprofitable() {
 
 #[test]
 fn slacking_is_legal_but_unprofitable() {
-    let honest = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
-    let slack = run_session(&session(
+    let honest = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
+    let slack = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -117,7 +118,7 @@ fn slacking_is_legal_but_unprofitable() {
 
 #[test]
 fn equivocation_detected_fined_and_aborted() {
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -146,7 +147,7 @@ fn equivocation_detected_fined_and_aborted() {
 #[test]
 fn short_allocation_fines_originator() {
     // NCP-FE: P1 is the originator and withholds blocks from P3.
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (
@@ -172,7 +173,7 @@ fn short_allocation_fines_originator() {
 
 #[test]
 fn over_allocation_fines_originator() {
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (
@@ -199,7 +200,7 @@ fn over_allocation_fines_originator() {
 #[test]
 fn nfe_originator_deviation_detected_too() {
     // NCP-NFE: the originator is the LAST processor.
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpNfe,
         &[
             (1.0, Behavior::Compliant),
@@ -225,7 +226,7 @@ fn nfe_originator_deviation_detected_too() {
 
 #[test]
 fn corrupt_payment_vector_fined_session_completes() {
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -246,7 +247,7 @@ fn corrupt_payment_vector_fined_session_completes() {
     assert!(out.processors[0].payment.is_some());
     // The corrupter's inflated entry was NOT used: its own payment is the
     // correct one minus the fine plus nothing.
-    let honest = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
+    let honest = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
     let correct_q2 = honest.processors[2].payment.unwrap().total();
     let paid_q2 = out.processors[2].payment.unwrap().total();
     assert!(
@@ -260,7 +261,7 @@ fn corrupt_payment_vector_fined_session_completes() {
 
 #[test]
 fn false_accusation_fines_the_accuser() {
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -280,7 +281,7 @@ fn false_accusation_fines_the_accuser() {
 
 #[test]
 fn non_participant_excluded_with_zero_utility() {
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -306,7 +307,7 @@ fn too_few_participants_rejected() {
             (3.0, Behavior::NonParticipant),
         ],
     );
-    assert!(matches!(run_session(&cfg), Err(RunError::TooFewParticipants)));
+    assert!(matches!(run_session_vm(&cfg), Err(RunError::TooFewParticipants)));
 }
 
 #[test]
@@ -314,7 +315,7 @@ fn every_deviant_loses_relative_to_compliance() {
     // Lemma 5.1 / Theorem 5.1 measured end-to-end: for each finable
     // behaviour, the deviant's utility is strictly below what the same
     // processor earns in the all-compliant session.
-    let honest = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
+    let honest = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
     let deviant_behaviors: Vec<(usize, Behavior)> = vec![
         (1, Behavior::EquivocateBids { factor: 2.0 }),
         (
@@ -347,7 +348,7 @@ fn every_deviant_loses_relative_to_compliance() {
             (3.0, Behavior::Compliant),
         ];
         ws[who].1 = behavior;
-        let out = run_session(&session(SystemModel::NcpFe, &ws)).unwrap();
+        let out = run_session_vm(&session(SystemModel::NcpFe, &ws)).unwrap();
         assert!(
             out.utility(who) < honest.utility(who),
             "{behavior}: deviant got {} vs compliant {}",
@@ -366,7 +367,7 @@ fn bid_deliveries_scale_quadratically() {
         let behaviors: Vec<(f64, Behavior)> = (0..m)
             .map(|i| (1.0 + i as f64 * 0.5, Behavior::Compliant))
             .collect();
-        let out = run_session(&session(SystemModel::NcpFe, &behaviors)).unwrap();
+        let out = run_session_vm(&session(SystemModel::NcpFe, &behaviors)).unwrap();
         let (bid_count, _) = out.messages.category("bid");
         assert_eq!(bid_count as usize, m * (m - 1), "m={m}");
         let (pv_count, pv_bytes) = out.messages.category("payment-vector");
@@ -380,8 +381,8 @@ fn bid_deliveries_scale_quadratically() {
 
 #[test]
 fn deterministic_given_seed() {
-    let a = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
-    let b = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
+    let a = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
+    let b = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
     assert_eq!(a.status, b.status);
     for (x, y) in a.processors.iter().zip(&b.processors) {
         assert_eq!(x.utility, y.utility);
@@ -394,7 +395,7 @@ fn deterministic_given_seed() {
 fn non_participant_originator_role_migrates() {
     // NCP-FE: P1 declines, so P2 becomes the active originator; the
     // session must still complete with the remaining pair.
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::NonParticipant),
@@ -415,7 +416,7 @@ fn non_participant_originator_role_migrates() {
 
 #[test]
 fn two_equivocators_both_fined() {
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -443,7 +444,7 @@ fn two_equivocators_both_fined() {
 fn originator_offence_by_non_originator_degrades_to_compliance() {
     // P2 configured to short-allocate, but only the originator sends
     // grants — the behaviour has no effect and the session completes.
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -466,7 +467,7 @@ fn originator_offence_by_non_originator_degrades_to_compliance() {
 fn victim_deviant_combo_each_handled() {
     // The originator cheats P3 AND P2 corrupts payments. The allocation
     // abort pre-empts the payment phase, so only the originator is fined.
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (
@@ -509,7 +510,7 @@ fn fine_exactly_at_bound_still_deters() {
         ],
     );
     let bound = probe.fine_bound();
-    let honest = run_session(&probe).unwrap();
+    let honest = run_session_vm(&probe).unwrap();
     let cfg = dls_protocol::config::SessionConfig::builder(SystemModel::NcpFe, Z)
         .processors([
             dls_protocol::config::ProcessorConfig::new(1.0, Behavior::Compliant),
@@ -523,7 +524,7 @@ fn fine_exactly_at_bound_still_deters() {
         .seed(7)
         .build()
         .unwrap();
-    let out = run_session(&cfg).unwrap();
+    let out = run_session_vm(&cfg).unwrap();
     assert!(out.utility(1) < honest.utility(1));
 }
 
@@ -532,7 +533,7 @@ fn forged_bids_are_discarded_without_framing_anyone() {
     // P2 forges a bid under P3's name. Signature verification fails, so
     // every receiver discards it (§4); the session completes and NOBODY is
     // fined — in particular not the impersonated P3 (Lemma 5.2).
-    let out = run_session(&session(
+    let out = run_session_vm(&session(
         SystemModel::NcpFe,
         &[
             (1.0, Behavior::Compliant),
@@ -545,6 +546,6 @@ fn forged_bids_are_discarded_without_framing_anyone() {
     assert!(out.fined_processors().is_empty());
     // The forged low-ball bid (0.01) must not have influenced allocation:
     // P3's fraction corresponds to its genuine bid of 3.0.
-    let honest = run_session(&compliant3(SystemModel::NcpFe)).unwrap();
+    let honest = run_session_vm(&compliant3(SystemModel::NcpFe)).unwrap();
     assert!((out.processors[2].alloc_fraction - honest.processors[2].alloc_fraction).abs() < 1e-12);
 }

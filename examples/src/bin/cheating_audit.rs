@@ -9,7 +9,7 @@
 //! ```
 
 use dls::protocol::config::{Behavior, ProcessorConfig, SessionConfig};
-use dls::protocol::runtime::run_session;
+use dls::protocol::run_session_vm;
 use dls::{SessionStatus, SystemModel};
 
 fn run_with(deviant: usize, behavior: Behavior) -> (SessionStatus, Vec<usize>, f64) {
@@ -21,7 +21,7 @@ fn run_with(deviant: usize, behavior: Behavior) -> (SessionStatus, Vec<usize>, f
         .seed(11)
         .build()
         .unwrap();
-    let out = run_session(&cfg).unwrap();
+    let out = run_session_vm(&cfg).unwrap();
     (out.status.clone(), out.fined_processors(), out.utility(deviant))
 }
 
@@ -32,7 +32,7 @@ fn main() {
             .seed(11)
             .build()
             .unwrap();
-        let out = run_session(&cfg).unwrap();
+        let out = run_session_vm(&cfg).unwrap();
         (0..3).map(|i| out.utility(i)).collect()
     };
 

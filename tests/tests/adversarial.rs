@@ -4,7 +4,7 @@
 //! offence present is detected (Theorem 5.1), and money is conserved.
 
 use dls::protocol::config::{Behavior, ProcessorConfig, SessionConfig};
-use dls::protocol::runtime::run_session;
+use dls::protocol::run_session_vm;
 use dls::{SessionStatus, SystemModel};
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
 
     #[test]
     fn fines_only_for_deviants_and_money_conserved(cfg in arb_session()) {
-        let out = run_session(&cfg).unwrap();
+        let out = run_session_vm(&cfg).unwrap();
         let offenders = expected_offenders(&cfg);
         // Lemma 5.2: every fined processor actually deviated.
         for fined in out.fined_processors() {
@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn earliest_phase_offence_is_always_detected(cfg in arb_session()) {
-        let out = run_session(&cfg).unwrap();
+        let out = run_session_vm(&cfg).unwrap();
         let offenders = expected_offenders(&cfg);
         if offenders.is_empty() {
             return Ok(());
@@ -141,7 +141,7 @@ proptest! {
     fn compliant_processors_never_lose_to_the_fine_system(cfg in arb_session()) {
         // A compliant worker's utility from fines/rewards alone is >= 0:
         // it can be rewarded, never fined (Corollary 5.1 + Lemma 5.2).
-        let out = run_session(&cfg).unwrap();
+        let out = run_session_vm(&cfg).unwrap();
         for (i, p) in out.processors.iter().enumerate() {
             if p.config.behavior == Behavior::Compliant {
                 prop_assert!(p.fined == 0.0, "compliant P{} fined", i + 1);

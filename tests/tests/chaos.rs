@@ -18,7 +18,7 @@ use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
 use dls_protocol::fault::{FaultKind, FaultPlan};
 use dls_protocol::referee::Phase;
-use dls_protocol::{run_session, SessionOutcome, SessionStatus};
+use dls_protocol::{run_session_vm, SessionOutcome, SessionStatus};
 use std::time::{Duration, Instant};
 
 const Z: f64 = 0.25;
@@ -60,7 +60,7 @@ fn session(
 /// budget (plus slack for slow CI machines).
 fn run_timed(cfg: &SessionConfig) -> SessionOutcome {
     let start = Instant::now();
-    let out = run_session(cfg).expect("an injected liveness fault must degrade, not error");
+    let out = run_session_vm(cfg).expect("an injected liveness fault must degrade, not error");
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_millis(2 * BUDGET_MS + 1_000),

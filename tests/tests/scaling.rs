@@ -3,7 +3,7 @@
 //! benchmark scale, and the benchmark JSON schema.
 
 use dls::protocol::config::{Behavior, ProcessorConfig, SessionConfig};
-use dls::protocol::runtime::run_session;
+use dls::protocol::run_session_vm;
 use dls::{SessionStatus, SystemModel};
 use dls_bench::multiload;
 use dls_bench::payments::{render_json, run_sweep, workload, SweepConfig, SCHEMA};
@@ -24,7 +24,7 @@ fn twenty_four_processor_session_completes() {
         .blocks(4 * m)
         .build()
         .unwrap();
-    let out = run_session(&cfg).unwrap();
+    let out = run_session_vm(&cfg).unwrap();
     assert_eq!(out.status, SessionStatus::Completed);
     assert_eq!(out.processors.len(), m);
     // Exactly m(m-1) bid deliveries and m payment vectors.
@@ -57,7 +57,7 @@ fn deviant_detection_scales() {
         .blocks(2 * m)
         .build()
         .unwrap();
-    let out = run_session(&cfg).unwrap();
+    let out = run_session_vm(&cfg).unwrap();
     assert_eq!(out.fined_processors(), vec![deviant]);
     let share = out.fine / (m - 1) as f64;
     for (i, p) in out.processors.iter().enumerate() {
@@ -81,7 +81,7 @@ fn replay_is_bit_exact_across_models_and_seeds() {
                     .seed(seed)
                     .build()
                     .unwrap();
-                run_session(&cfg).unwrap()
+                run_session_vm(&cfg).unwrap()
             };
             let (a, b) = (mk(), mk());
             assert_eq!(a.status, b.status, "{model} seed {seed}");
@@ -110,7 +110,7 @@ fn different_seeds_change_keys_not_economics() {
             .seed(seed)
             .build()
             .unwrap();
-        run_session(&cfg).unwrap()
+        run_session_vm(&cfg).unwrap()
     };
     let (a, b) = (mk(21), mk(22));
     for (x, y) in a.processors.iter().zip(&b.processors) {
@@ -384,7 +384,7 @@ fn validate_sessions_json(json: &str) {
             assert!(line.contains(key), "entry missing {key}: {line}");
         }
         assert!(
-            line.contains("\"path\": \"pooled\"") || line.contains("\"path\": \"threaded\""),
+            line.contains("\"path\": \"pooled\""),
             "unknown path in {line}"
         );
         assert!(
@@ -427,13 +427,20 @@ fn committed_ns_per_session(
     None
 }
 
+/// Per-session cost of the thread-per-party runtime (one OS thread per
+/// processor plus the referee, condvar phase barriers) in the committed
+/// `BENCH_sessions.json` at commit 6754f5bd880b: the `"threaded"`,
+/// amortized, m = 16, batch = 1024 cell, in ns/session. That runtime has
+/// been removed; the pooled executor's committed cell is still held to at
+/// most a tenth of this baseline.
+const THREADED_M16_B1024_NS_PER_SESSION: f64 = 771658034.6875;
+
 /// A quick sessions sweep must cover every (m, batch, path, verify) cell
-/// of its config, emit a document matching the documented schema, and show
-/// the pooled executor no slower than the threaded runtime at the largest
-/// quick cell. The committed `BENCH_sessions.json` (when present) must
-/// match the schema and carry both headlines: the pooled executor at
-/// least 10× the threaded runtime's sessions/sec at m = 16, batch = 1024,
-/// and amortized verification at least 5× the per-receiver `pow_mod`
+/// of its config and emit a document matching the documented schema. The
+/// committed `BENCH_sessions.json` (when present) must match the schema
+/// and carry both headlines: the pooled executor at least 10× the frozen
+/// threaded-runtime baseline's sessions/sec at m = 16, batch = 1024, and
+/// amortized verification at least 5× the per-receiver `pow_mod`
 /// baseline at m = 64 — the cell where the Θ(m²) broadcast makes
 /// per-receiver verification the dominant cost.
 #[test]
@@ -442,11 +449,7 @@ fn sessions_bench_json_matches_documented_schema() {
     let entries = sessions::run_sweep(&cfg).expect("quick sweep must succeed");
     for &m in &cfg.m_sizes {
         for &batch in &cfg.batch_sizes {
-            for (path, verify) in [
-                ("pooled", "amortized"),
-                ("pooled", "per-receiver"),
-                ("threaded", "amortized"),
-            ] {
+            for (path, verify) in [("pooled", "amortized"), ("pooled", "per-receiver")] {
                 assert!(
                     entries.iter().any(|e| e.m == m
                         && e.batch == batch
@@ -457,19 +460,6 @@ fn sessions_bench_json_matches_documented_schema() {
             }
         }
     }
-    let (&m, &batch) = (
-        cfg.m_sizes.iter().max().expect("quick config has sizes"),
-        cfg.batch_sizes.iter().max().expect("quick config has batches"),
-    );
-    // Generous in-test bound (debug build, loaded CI): no regression to a
-    // pooled path slower than spawning m+1 threads per session. The real
-    // ≥ 10× criterion is asserted against the committed release JSON below.
-    let speedup = sessions::pooled_speedup(&entries, m, batch)
-        .expect("largest quick cell present on both paths");
-    assert!(
-        speedup >= 1.0,
-        "pooled executor slower than threaded runtime at m={m} batch={batch}: {speedup:.2}x"
-    );
     validate_sessions_json(&sessions::render_json(&cfg, &entries));
 
     let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_sessions.json");
@@ -478,8 +468,7 @@ fn sessions_bench_json_matches_documented_schema() {
             validate_sessions_json(&json);
             let pooled = committed_ns_per_session(&json, 16, 1024, "pooled", "amortized")
                 .expect("committed file has the pooled amortized m=16 batch=1024 cell");
-            let threaded = committed_ns_per_session(&json, 16, 1024, "threaded", "amortized")
-                .expect("committed file has the threaded amortized m=16 batch=1024 cell");
+            let threaded = THREADED_M16_B1024_NS_PER_SESSION;
             assert!(
                 pooled > 0.0 && threaded / pooled >= 10.0,
                 "committed BENCH_sessions.json no longer shows the >= 10x pooled speedup \

@@ -4,7 +4,7 @@
 //! service — under work stealing or static-shard placement, with the
 //! per-worker scratch arena reused or rebuilt — must reproduce
 //! [`dls_protocol::run_session_vm`] **bit for bit** (which the executor
-//! suite in turn pins against the threaded oracle), across strategic
+//! suite in turn pins against frozen outcome digests), across strategic
 //! behaviors and liveness-fault plans.
 //!
 //! Float equality here is `to_bits` (or whole-structure `Debug` equality,

@@ -1,10 +1,9 @@
 //! Service tail-latency benchmark harness:
 //! `cargo run --release --bin service`.
 //!
-//! Writes `BENCH_service.json` (schema `dls-bench-service-v2`) in the
+//! Writes `BENCH_service.json` (schema `dls-bench-service-v3`) in the
 //! current directory and prints the headline work-stealing-vs-static p99
-//! improvement, the service-vs-pooled uniform throughput ratio, and the
-//! kill-churn recovery numbers (p99 inflation under periodic worker
+//! improvement and the kill-churn recovery numbers (p99 inflation under periodic worker
 //! kills, worst death→respawn latency, tickets lost — always zero).
 //! Flags:
 //!
@@ -12,8 +11,7 @@
 //! * `--out <path>` — write the JSON somewhere else
 
 use dls_bench::service::{
-    churn_p99_ratio, p99_improvement, render_json, run_sweep, uniform_throughput_ratio,
-    worst_recovery_ns, ServiceBenchConfig,
+    churn_p99_ratio, p99_improvement, render_json, run_sweep, worst_recovery_ns, ServiceBenchConfig,
 };
 
 fn main() {
@@ -53,11 +51,6 @@ fn main() {
     if let Some(r) = p99_improvement(&entries) {
         println!(
             "skewed paced mix: work stealing cuts p99 session latency {r:.1}x vs static sharding"
-        );
-    }
-    if let Some(r) = uniform_throughput_ratio(&entries) {
-        println!(
-            "uniform closed control: service throughput is {r:.2}x the static pooled baseline"
         );
     }
     if let Some(r) = churn_p99_ratio(&entries) {

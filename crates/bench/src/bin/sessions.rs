@@ -1,7 +1,7 @@
 //! Session-throughput benchmark harness:
 //! `cargo run --release --bin sessions`.
 //!
-//! Writes `BENCH_sessions.json` (schema `dls-bench-sessions-v2`) in the
+//! Writes `BENCH_sessions.json` (schema `dls-bench-sessions-v3`) in the
 //! current directory and prints the headline amortized-vs-per-receiver
 //! verification speedups.
 //! Flags:

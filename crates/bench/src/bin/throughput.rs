@@ -1,7 +1,7 @@
 //! Auction-throughput benchmark harness:
 //! `cargo run --release --bin throughput`.
 //!
-//! Writes `BENCH_throughput.json` (schema `dls-bench-throughput-v1`) in the
+//! Writes `BENCH_throughput.json` (schema `dls-bench-throughput-v2`) in the
 //! current directory and prints the headline incremental-vs-full-recompute
 //! speedups. Flags:
 //!

@@ -1,7 +1,7 @@
 //! Service tail-latency sweep: the data source for `BENCH_service.json`.
 //!
 //! Where [`crate::sessions`] asks "how fast does a *batch* go through the
-//! pool", this harness asks the production question: sessions arriving
+//! service", this harness asks the production question: sessions arriving
 //! continuously, how long does each one *wait*? One cell =
 //! (workload mix) × (drive mode) × (execution path):
 //!
@@ -28,13 +28,8 @@
 //! **Paths.** `"service-steal"` — [`dls_protocol::service::ServiceHandle`]
 //! with shortest-queue placement and steal-half. `"service-static"` — the
 //! same service with `ticket mod workers` placement and no stealing.
-//! `"pooled-static"` — the batch entry point
-//! [`dls_protocol::executor::run_session_pooled_with`] as the closed-mode
-//! baseline (no queue, no latency; its latency columns are zero).
-//!
-//! The `scratch` column discloses the per-worker arena: `"reused"` keeps
-//! one [`VmScratch`](dls_protocol::executor::VmScratch) per worker across
-//! sessions, `"fresh"` rebuilds it per session (the pre-arena behaviour).
+//! Every worker keeps one [`VmScratch`](dls_protocol::executor::VmScratch)
+//! arena across the sessions it runs.
 //!
 //! Honest-measurement notes, reflected in the JSON:
 //!
@@ -68,7 +63,6 @@ use std::time::{Duration, Instant};
 
 use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
-use dls_protocol::executor::run_session_pooled_with;
 use dls_protocol::referee::Phase;
 use dls_protocol::service::{Placement, ServiceConfig, ServiceHandle};
 use dls_protocol::supervisor::{ServiceFaultPlan, ServiceStats};
@@ -78,7 +72,11 @@ use crate::workloads::quantized_rates;
 
 /// Schema identifier written into the JSON header; bump when the layout of
 /// the file changes incompatibly.
-pub const SCHEMA: &str = "dls-bench-service-v2";
+pub const SCHEMA: &str = "dls-bench-service-v3";
+
+/// Steal/static pairs the paced comparison runs; the committed cells are
+/// the pair with the median p99 ratio.
+const PACED_PAIRS: usize = 5;
 
 /// Everything that determines a service sweep; the workload stream is
 /// reproducible from the config alone (wall-clock numbers aside).
@@ -111,7 +109,7 @@ pub struct ServiceBenchConfig {
     /// it runs the minimum width; `BENCH_sessions.json` owns the crypto
     /// cost story.
     pub key_bits: usize,
-    /// Service worker threads (also the pooled baseline's worker count).
+    /// Service worker threads.
     pub workers: usize,
     /// Closed-mode in-flight window.
     pub window: usize,
@@ -126,10 +124,6 @@ pub struct ServiceBenchConfig {
     pub paced_utilization: f64,
     /// Closed-loop sessions used to calibrate paced capacity per mix.
     pub calibration_sessions: usize,
-    /// Largest batch the pooled baseline runs (it materializes the whole
-    /// batch of configs and outcomes at once, so it does not sweep to the
-    /// service's largest cells).
-    pub pooled_batch_cap: usize,
     /// Kill-churn period for the faulted cells: the active worker is
     /// killed at every `kill_every`-th job start of the skewed closed
     /// stream (0 disables the faulted cells).
@@ -158,7 +152,6 @@ impl ServiceBenchConfig {
             paced_batch: 20_000,
             paced_utilization: 0.8,
             calibration_sessions: 2_000,
-            pooled_batch_cap: 100_000,
             kill_every: 2_000,
         }
     }
@@ -175,7 +168,6 @@ impl ServiceBenchConfig {
             skewed_closed_batches: vec![200],
             paced_batch: 200,
             calibration_sessions: 60,
-            pooled_batch_cap: 240,
             kill_every: 25,
             ..ServiceBenchConfig::full()
         }
@@ -189,11 +181,8 @@ pub struct ServiceEntry {
     pub mix: &'static str,
     /// `"closed"` (windowed streaming) or `"paced"` (open-loop arrivals).
     pub mode: &'static str,
-    /// `"service-steal"`, `"service-static"`, or `"pooled-static"`.
+    /// `"service-steal"` or `"service-static"`.
     pub path: &'static str,
-    /// `"reused"` (per-worker arena) or `"fresh"` (arena rebuilt per
-    /// session). The pooled baseline always reuses.
-    pub scratch: &'static str,
     /// Sessions in the stream.
     pub batch: usize,
     /// Worker threads.
@@ -202,8 +191,7 @@ pub struct ServiceEntry {
     pub arrival_per_sec: u128,
     /// Completed sessions per second over the whole stream.
     pub sessions_per_sec: u128,
-    /// Median enqueue→complete latency, ns (zero on the pooled path,
-    /// which has no queue to measure).
+    /// Median enqueue→complete latency, ns.
     pub p50_ns: u64,
     /// 95th-percentile latency, ns.
     pub p95_ns: u64,
@@ -309,7 +297,6 @@ impl Digest {
         mix: &'static str,
         mode: &'static str,
         path: &'static str,
-        scratch: &'static str,
         batch: usize,
         workers: usize,
         arrival_per_sec: u128,
@@ -320,7 +307,6 @@ impl Digest {
             mix,
             mode,
             path,
-            scratch,
             batch,
             workers,
             arrival_per_sec,
@@ -371,14 +357,11 @@ fn run_closed(
     cfg: &ServiceBenchConfig,
     mix: &'static str,
     placement: Placement,
-    reuse_scratch: bool,
     batch: usize,
     plan: ServiceFaultPlan,
 ) -> Result<(Digest, ServiceStats), String> {
     let svc = ServiceHandle::start(ServiceConfig {
-        workers: cfg.workers,
         placement,
-        reuse_scratch,
         fault_plan: plan,
         ..ServiceConfig::stealing(cfg.workers)
     })
@@ -464,7 +447,6 @@ fn calibrate_capacity(cfg: &ServiceBenchConfig, mix: &'static str) -> Result<f64
         cfg,
         mix,
         Placement::Stealing,
-        true,
         n,
         ServiceFaultPlan::default(),
     )?;
@@ -492,8 +474,8 @@ pub fn run_sweep(cfg: &ServiceBenchConfig) -> Result<Vec<ServiceEntry>, String> 
     warm_caches(cfg)?;
     let report = |e: &ServiceEntry| {
         eprintln!(
-            "{:7} {:6} {:14} {:6} batch={:7} {:>9} sess/s  p50={:>12} p95={:>12} p99={:>12} ns  rss={}MiB  kills={} respawns={} rec_max={}ns",
-            e.mix, e.mode, e.path, e.scratch, e.batch, e.sessions_per_sec, e.p50_ns, e.p95_ns, e.p99_ns, e.rss_mb, e.kills, e.respawns, e.recovery_max_ns
+            "{:7} {:6} {:14} batch={:7} {:>9} sess/s  p50={:>12} p95={:>12} p99={:>12} ns  rss={}MiB  kills={} respawns={} rec_max={}ns",
+            e.mix, e.mode, e.path, e.batch, e.sessions_per_sec, e.p50_ns, e.p95_ns, e.p99_ns, e.rss_mb, e.kills, e.respawns, e.recovery_max_ns
         );
     };
 
@@ -510,27 +492,12 @@ pub fn run_sweep(cfg: &ServiceBenchConfig) -> Result<Vec<ServiceEntry>, String> 
                 ("service-steal", Placement::Stealing),
                 ("service-static", Placement::StaticShard),
             ] {
-                let (d, _) = run_closed(cfg, mix, placement, true, batch, ServiceFaultPlan::default())?;
-                let e = d.entry(mix, "closed", path, "reused", batch, cfg.workers, 0);
+                let (d, _) = run_closed(cfg, mix, placement, batch, ServiceFaultPlan::default())?;
+                let e = d.entry(mix, "closed", path, batch, cfg.workers, 0);
                 report(&e);
                 entries.push(e);
             }
         }
-    }
-
-    // --- Scratch-arena disclosure: same cell, fresh arena per session -----
-    if let Some(&batch) = cfg.closed_batches.iter().min().filter(|&&b| b > 0) {
-        let (d, _) = run_closed(
-            cfg,
-            "uniform",
-            Placement::Stealing,
-            false,
-            batch,
-            ServiceFaultPlan::default(),
-        )?;
-        let e = d.entry("uniform", "closed", "service-steal", "fresh", batch, cfg.workers, 0);
-        report(&e);
-        entries.push(e);
     }
 
     // --- Kill-churn disclosure: the skewed closed cell under worker kills -
@@ -541,9 +508,9 @@ pub fn run_sweep(cfg: &ServiceBenchConfig) -> Result<Vec<ServiceEntry>, String> 
                 ("service-static", Placement::StaticShard),
             ] {
                 let plan = ServiceFaultPlan::kill_every(cfg.kill_every as u64, batch as u64);
-                let (d, stats) = run_closed(cfg, "skewed", placement, true, batch, plan)?;
+                let (d, stats) = run_closed(cfg, "skewed", placement, batch, plan)?;
                 let e = d
-                    .entry("skewed", "closed", path, "reused", batch, cfg.workers, 0)
+                    .entry("skewed", "closed", path, batch, cfg.workers, 0)
                     .churn(cfg.kill_every, &stats);
                 report(&e);
                 entries.push(e);
@@ -551,46 +518,11 @@ pub fn run_sweep(cfg: &ServiceBenchConfig) -> Result<Vec<ServiceEntry>, String> 
         }
     }
 
-    // --- Pooled baseline (closed batch, no queue/latency machinery) -------
-    if let Some(&batch) = cfg
-        .closed_batches
-        .iter()
-        .filter(|&&b| b > 0 && b <= cfg.pooled_batch_cap)
-        .max()
-    {
-        let cfgs: Vec<SessionConfig> = (0..batch)
-            .map(|k| stream_session(cfg, "uniform", k))
-            .collect::<Result<_, _>>()?;
-        let t0 = Instant::now();
-        for r in run_session_pooled_with(&cfgs, cfg.workers) {
-            r.map_err(|e| format!("pooled session failed: {e}"))?;
-        }
-        let elapsed_ns = t0.elapsed().as_nanos();
-        let e = ServiceEntry {
-            mix: "uniform",
-            mode: "closed",
-            path: "pooled-static",
-            scratch: "reused",
-            batch,
-            workers: cfg.workers,
-            arrival_per_sec: 0,
-            sessions_per_sec: per_sec(batch as u128, elapsed_ns),
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
-            max_ns: 0,
-            rss_mb: rss_mb(),
-            kill_every: 0,
-            kills: 0,
-            respawns: 0,
-            recovery_max_ns: 0,
-            lost: 0,
-        };
-        report(&e);
-        entries.push(e);
-    }
-
     // --- Paced tail-latency comparison (the headline) ---------------------
+    // The p99 of one paced stream rests on its few slowest sessions, so a
+    // single steal/static pair swings with host load. Run `PACED_PAIRS`
+    // pairs, alternating which placement goes first so a drift in host
+    // load cancels, and keep the pair with the median static/steal ratio.
     if cfg.paced_batch > 0 {
         let capacity = calibrate_capacity(cfg, "skewed")?;
         let rate = capacity * cfg.paced_utilization;
@@ -598,22 +530,34 @@ pub fn run_sweep(cfg: &ServiceBenchConfig) -> Result<Vec<ServiceEntry>, String> 
             "skewed calibration: capacity {:.1} sess/s -> pacing at {:.1} sess/s",
             capacity, rate
         );
-        for (path, placement) in [
-            ("service-steal", Placement::Stealing),
-            ("service-static", Placement::StaticShard),
-        ] {
+        let run = |path: &'static str, placement: Placement| {
             let d = run_paced(cfg, "skewed", placement, cfg.paced_batch, rate)?;
             let e = d.entry(
                 "skewed",
                 "paced",
                 path,
-                "reused",
                 cfg.paced_batch,
                 cfg.workers,
                 rate.round() as u128,
             );
             report(&e);
-            entries.push(e);
+            Ok::<ServiceEntry, String>(e)
+        };
+        let mut pairs = Vec::with_capacity(PACED_PAIRS);
+        for round in 0..PACED_PAIRS {
+            let pair = if round % 2 == 0 {
+                let steal = run("service-steal", Placement::Stealing)?;
+                [steal, run("service-static", Placement::StaticShard)?]
+            } else {
+                let stat = run("service-static", Placement::StaticShard)?;
+                [run("service-steal", Placement::Stealing)?, stat]
+            };
+            pairs.push(pair);
+        }
+        let ratio = |pair: &[ServiceEntry; 2]| p99_improvement(pair).unwrap_or(0.0);
+        pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+        if let Some(median) = pairs.into_iter().nth(PACED_PAIRS / 2) {
+            entries.extend(median);
         }
     }
 
@@ -667,26 +611,6 @@ pub fn worst_recovery_ns(entries: &[ServiceEntry]) -> Option<u64> {
         .max()
 }
 
-/// Sessions/sec ratio service-steal / pooled-static on the uniform closed
-/// control at the pooled baseline's batch; `None` when either entry is
-/// missing or degenerate.
-pub fn uniform_throughput_ratio(entries: &[ServiceEntry]) -> Option<f64> {
-    let pooled = entries
-        .iter()
-        .find(|e| e.mix == "uniform" && e.mode == "closed" && e.path == "pooled-static")?;
-    let steal = entries.iter().find(|e| {
-        e.mix == "uniform"
-            && e.mode == "closed"
-            && e.path == "service-steal"
-            && e.scratch == "reused"
-            && e.batch == pooled.batch
-    })?;
-    if pooled.sessions_per_sec == 0 {
-        return None;
-    }
-    Some(steal.sessions_per_sec as f64 / pooled.sessions_per_sec as f64)
-}
-
 /// Renders the sweep as the committed `BENCH_service.json` document.
 /// Hand-rolled writer (the workspace deliberately has no JSON dependency);
 /// all dynamic values are numbers and short slugs, so escaping is not
@@ -696,7 +620,7 @@ pub fn render_json(cfg: &ServiceBenchConfig, entries: &[ServiceEntry]) -> String
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!(
-        "  \"config\": {{\"seed\": {}, \"z\": {:?}, \"lo\": {:?}, \"hi\": {:?}, \"denom\": {}, \"light_m\": {}, \"heavy_m\": {}, \"light_blocks\": {}, \"heavy_blocks\": {}, \"heavy_period\": {}, \"key_bits\": {}, \"workers\": {}, \"window\": {}, \"paced_utilization\": {:?}, \"pooled_batch_cap\": {}, \"kill_every\": {}}},\n",
+        "  \"config\": {{\"seed\": {}, \"z\": {:?}, \"lo\": {:?}, \"hi\": {:?}, \"denom\": {}, \"light_m\": {}, \"heavy_m\": {}, \"light_blocks\": {}, \"heavy_blocks\": {}, \"heavy_period\": {}, \"key_bits\": {}, \"workers\": {}, \"window\": {}, \"paced_utilization\": {:?}, \"kill_every\": {}}},\n",
         cfg.seed,
         cfg.z,
         cfg.lo,
@@ -711,18 +635,16 @@ pub fn render_json(cfg: &ServiceBenchConfig, entries: &[ServiceEntry]) -> String
         cfg.workers,
         cfg.window,
         cfg.paced_utilization,
-        cfg.pooled_batch_cap,
         cfg.kill_every
     ));
     s.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let sep = if i + 1 == entries.len() { "" } else { "," };
         s.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"path\": \"{}\", \"scratch\": \"{}\", \"batch\": {}, \"workers\": {}, \"arrival_per_sec\": {}, \"sessions_per_sec\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"rss_mb\": {}, \"kill_every\": {}, \"kills\": {}, \"respawns\": {}, \"recovery_max_ns\": {}, \"lost\": {}}}{sep}\n",
+            "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"path\": \"{}\", \"batch\": {}, \"workers\": {}, \"arrival_per_sec\": {}, \"sessions_per_sec\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"rss_mb\": {}, \"kill_every\": {}, \"kills\": {}, \"respawns\": {}, \"recovery_max_ns\": {}, \"lost\": {}}}{sep}\n",
             e.mix,
             e.mode,
             e.path,
-            e.scratch,
             e.batch,
             e.workers,
             e.arrival_per_sec,
@@ -801,7 +723,6 @@ mod tests {
             mix: "skewed",
             mode: "paced",
             path: "service-steal",
-            scratch: "reused",
             batch: 20_000,
             workers: 5,
             arrival_per_sec: 3210,
@@ -818,10 +739,9 @@ mod tests {
             lost: 0,
         }];
         let json = render_json(&cfg, &entries);
-        assert!(json.contains("\"schema\": \"dls-bench-service-v2\""));
+        assert!(json.contains("\"schema\": \"dls-bench-service-v3\""));
         assert!(json.contains("\"path\": \"service-steal\""));
         assert!(json.contains("\"p99_ns\": 1500000"));
-        assert!(json.contains("\"scratch\": \"reused\""));
         assert!(json.contains("\"kill_every\": 25"));
         assert!(json.contains("\"respawns\": 3"));
         assert!(json.contains("\"recovery_max_ns\": 7000000"));
@@ -842,7 +762,6 @@ mod tests {
             mix,
             mode,
             path,
-            scratch: "reused",
             batch,
             workers: 5,
             arrival_per_sec: 0,
@@ -862,12 +781,9 @@ mod tests {
             mk("skewed", "paced", "service-steal", 100, 50, 1_000),
             mk("skewed", "paced", "service-static", 100, 50, 4_000),
             mk("uniform", "closed", "service-steal", 200, 95, 0),
-            mk("uniform", "closed", "pooled-static", 200, 100, 0),
         ];
         assert_eq!(p99_improvement(&entries), Some(4.0));
-        assert_eq!(uniform_throughput_ratio(&entries), Some(0.95));
-        assert_eq!(p99_improvement(&entries[2..]), None);
-        assert_eq!(uniform_throughput_ratio(&entries[..2]), None);
+        assert_eq!(p99_improvement(&entries[1..]), None);
     }
 
     #[test]
@@ -876,7 +792,6 @@ mod tests {
             mix: "skewed",
             mode: "closed",
             path: "service-steal",
-            scratch: "reused",
             batch: 200,
             workers: 5,
             arrival_per_sec: 0,

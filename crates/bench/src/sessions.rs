@@ -1,10 +1,11 @@
 //! Session-throughput sweep: the data source for `BENCH_sessions.json`.
 //!
 //! One cell = (market size `m`) × (batch of independent sessions) ×
-//! crypto profile, on the `"pooled"` path — the event-driven executor
-//! ([`dls_protocol::executor::run_session_pooled_with`]): state-machine
-//! processors stepped by one event loop per worker, sessions sharded by
-//! index, virtual-time barriers and delays.
+//! crypto profile, on the `"service"` path: every session of the batch is
+//! submitted to one [`ServiceHandle`] with static-shard placement
+//! (session `s` on worker `s mod workers`) and the harness waits on the
+//! tickets. Each worker steps the event-driven executor's state machines
+//! with virtual-time barriers and delays.
 //!
 //! Every cell runs the *same* frozen batch: a fixed market (rates from
 //! [`crate::workloads::quantized_rates`] at a fixed seed) with session `k`
@@ -40,15 +41,15 @@ use std::time::Instant;
 
 use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
-use dls_protocol::executor::run_session_pooled_with;
 use dls_protocol::referee::Phase;
+use dls_protocol::service::{ServiceConfig, ServiceHandle};
 use dls_protocol::FaultPlan;
 
 use crate::workloads::quantized_rates;
 
 /// Schema identifier written into the JSON header; bump when the layout of
 /// the file changes incompatibly.
-pub const SCHEMA: &str = "dls-bench-sessions-v2";
+pub const SCHEMA: &str = "dls-bench-sessions-v3";
 
 /// Length of the frozen scenario cycle session `k` draws from
 /// (`k mod SCENARIO_CYCLE`).
@@ -72,7 +73,7 @@ pub struct SessionsConfig {
     pub m_sizes: Vec<usize>,
     /// Sessions per batch.
     pub batch_sizes: Vec<usize>,
-    /// Worker threads for the pooled path.
+    /// Service worker threads.
     pub workers: usize,
     /// Blocks per session load.
     pub blocks: usize,
@@ -124,7 +125,7 @@ pub struct SessionsEntry {
     pub m: usize,
     /// Sessions per batch.
     pub batch: usize,
-    /// Execution path; always `"pooled"`.
+    /// Execution path; always `"service"`.
     pub path: &'static str,
     /// Crypto profile the cell ran under: `"amortized"` (Montgomery
     /// contexts + round-shared verification cache) or `"per-receiver"`
@@ -259,76 +260,70 @@ pub fn run_sweep(cfg: &SessionsConfig) -> Result<Vec<SessionsEntry>, String> {
         warmups.extend(session_batch(cfg, m, 1, CryptoProfile::Amortized)?);
     }
     crate::workloads::warm_session_caches(&warmups, 1)?;
+    let svc = ServiceHandle::start(ServiceConfig::static_shard(cfg.workers))
+        .map_err(|e| format!("service failed to start: {e}"))?;
     for &m in &cfg.m_sizes {
         for &batch in &cfg.batch_sizes {
             if batch == 0 {
                 continue;
             }
-            let cfgs = session_batch(cfg, m, batch, CryptoProfile::Amortized)?;
-
-            // Pooled path, amortized verification: the whole batch
-            // through the worker pool.
-            let (ns_block, last) = time_ns_bounded(cfg.target_ns_per_cell, 2, 64, || {
-                for r in run_session_pooled_with(&cfgs, cfg.workers) {
-                    r.map_err(|e| format!("pooled session failed: {e}"))?;
-                }
-                Ok::<(), String>(())
-            });
-            last?;
-            let ns = ns_block as f64 / batch as f64;
-            let ops = sessions_per_sec(batch as u128, ns_block);
-            eprintln!("ncp-fe   m={m:4} batch={batch:5} pooled   amortized    {ns:>14.1} ns/session  {ops:>8} sessions/s");
-            entries.push(SessionsEntry {
-                model: "ncp-fe",
-                m,
-                batch,
-                path: "pooled",
-                verify: "amortized",
-                sessions_timed: batch,
-                ns_per_session: ns,
-                sessions_per_sec: ops,
-            });
-
-            // Pooled path, per-receiver naive verification: the same
-            // batch with every broadcast re-verified by each receiver via
-            // plain pow_mod. Roughly m× the verification work, so fewer
-            // reps; outcomes are bit-identical (differential-tested), the
-            // cell measures cost only.
-            let naive_cfgs = session_batch(cfg, m, batch, CryptoProfile::PerReceiverNaive)?;
-            let (ns_block, last) = time_ns_bounded(cfg.target_ns_per_cell, 1, 8, || {
-                for r in run_session_pooled_with(&naive_cfgs, cfg.workers) {
-                    r.map_err(|e| format!("pooled naive session failed: {e}"))?;
-                }
-                Ok::<(), String>(())
-            });
-            last?;
-            let ns = ns_block as f64 / batch as f64;
-            let ops = sessions_per_sec(batch as u128, ns_block);
-            eprintln!("ncp-fe   m={m:4} batch={batch:5} pooled   per-receiver {ns:>14.1} ns/session  {ops:>8} sessions/s");
-            entries.push(SessionsEntry {
-                model: "ncp-fe",
-                m,
-                batch,
-                path: "pooled",
-                verify: "per-receiver",
-                sessions_timed: batch,
-                ns_per_session: ns,
-                sessions_per_sec: ops,
-            });
+            // Amortized verification, then the per-receiver naive
+            // baseline on the same batch: every broadcast re-verified by
+            // each receiver via plain pow_mod. That is roughly m× the
+            // verification work, so it runs fewer reps; outcomes are
+            // bit-identical (differential-tested), the cell measures cost
+            // only.
+            for (verify, profile, min_reps, max_reps) in [
+                ("amortized", CryptoProfile::Amortized, 2, 64),
+                ("per-receiver", CryptoProfile::PerReceiverNaive, 1, 8),
+            ] {
+                let cfgs = session_batch(cfg, m, batch, profile)?;
+                let (ns_block, last) =
+                    time_ns_bounded(cfg.target_ns_per_cell, min_reps, max_reps, || {
+                        let tickets: Vec<u64> = cfgs
+                            .iter()
+                            .map(|c| svc.submit(c.clone()))
+                            .collect::<Result<_, _>>()
+                            .map_err(|e| format!("service refused a session: {e}"))?;
+                        for t in tickets {
+                            let done = svc
+                                .wait(t)
+                                .ok_or_else(|| format!("service lost ticket {t}"))?;
+                            done.outcome
+                                .map_err(|e| format!("session {t} failed: {e}"))?;
+                        }
+                        Ok::<(), String>(())
+                    });
+                last?;
+                let ns = ns_block as f64 / batch as f64;
+                let ops = sessions_per_sec(batch as u128, ns_block);
+                eprintln!("ncp-fe   m={m:4} batch={batch:5} service  {verify:<12} {ns:>14.1} ns/session  {ops:>8} sessions/s");
+                entries.push(SessionsEntry {
+                    model: "ncp-fe",
+                    m,
+                    batch,
+                    path: "service",
+                    verify,
+                    sessions_timed: batch,
+                    ns_per_session: ns,
+                    sessions_per_sec: ops,
+                });
+            }
         }
     }
+    svc.shutdown();
     Ok(entries)
 }
 
 /// Speedup of amortized verification over the per-receiver baseline at
-/// `(m, batch)` on the pooled path — the headline number for the
+/// `(m, batch)` on the service path — the headline number for the
 /// Montgomery + verification-cache work; `None` when either entry is
 /// missing.
 pub fn crypto_speedup(entries: &[SessionsEntry], m: usize, batch: usize) -> Option<f64> {
     let find = |verify: &str| {
         entries
             .iter()
-            .find(|e| e.m == m && e.batch == batch && e.path == "pooled" && e.verify == verify)
+            .find(|e| e.m == m && e.batch == batch && e.path == "service" && e.verify == verify)
             .map(|e| e.ns_per_session)
     };
     let (amortized, naive) = (find("amortized")?, find("per-receiver")?);
@@ -409,15 +404,15 @@ mod tests {
             model: "ncp-fe",
             m: 16,
             batch: 64,
-            path: "pooled",
+            path: "service",
             verify: "amortized",
             sessions_timed: 64,
             ns_per_session: 812_500.25,
             sessions_per_sec: 1231,
         }];
         let json = render_json(&cfg, &entries);
-        assert!(json.contains("\"schema\": \"dls-bench-sessions-v2\""));
-        assert!(json.contains("\"path\": \"pooled\""));
+        assert!(json.contains("\"schema\": \"dls-bench-sessions-v3\""));
+        assert!(json.contains("\"path\": \"service\""));
         assert!(json.contains("\"verify\": \"amortized\""));
         assert!(json.contains("\"ns_per_session\": 812500.25"));
         let opens = json.matches('{').count();
@@ -438,8 +433,8 @@ mod tests {
             sessions_per_sec: 0,
         };
         let entries = vec![
-            mk("pooled", "amortized", 100.0),
-            mk("pooled", "per-receiver", 700.0),
+            mk("service", "amortized", 100.0),
+            mk("service", "per-receiver", 700.0),
         ];
         assert_eq!(crypto_speedup(&entries, 16, 1024), Some(7.0));
         assert_eq!(crypto_speedup(&entries, 4, 1024), None);

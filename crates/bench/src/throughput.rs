@@ -5,9 +5,10 @@
 //! rates — reproducible entry-for-entry from the config alone):
 //!
 //! * **auctions/sec** — full market clearings (makespan + DLS-BL payments)
-//!   through [`BatchAuctioneer`] at batch sizes × market sizes; each batch
-//!   is fanned across `std::thread::scope` workers, one reused
-//!   [`dls_mechanism::AuctionEngine`] per worker.
+//!   at batch sizes × market sizes; every market of a batch is cleared on
+//!   one reused [`AuctionEngine`] ([`AuctionEngine::load_bids`] then
+//!   [`AuctionEngine::payments`]), so per-market cost is a rebuild into
+//!   retained buffers.
 //! * **bid-updates/sec** — single-bid re-quotes (submit + makespan read)
 //!   replaying the *same* frozen update schedule down three paths:
 //!   `"incremental"`, the engine's chain-splice hot path
@@ -28,20 +29,19 @@
 //! every bid.
 //!
 //! This module is covered by the workspace no-panic lint gate: measurement
-//! never unwraps — worker and engine errors propagate as
-//! [`EngineError`].
+//! never unwraps — engine errors propagate as [`EngineError`].
 
 use std::time::Instant;
 
-use dls_dlt::{optimal, BusParams, SystemModel, ALL_MODELS};
-use dls_mechanism::{AuctionEngine, BatchAuctioneer, BatchWorkload, EngineError};
+use dls_dlt::{optimal, BusParams, ALL_MODELS};
+use dls_mechanism::{AuctionEngine, EngineError};
 
 use crate::payments::model_slug;
 use crate::workloads::{quantized_rates, splitmix64};
 
 /// Schema identifier written into the JSON header; bump when the layout of
 /// the file changes incompatibly.
-pub const SCHEMA: &str = "dls-bench-throughput-v1";
+pub const SCHEMA: &str = "dls-bench-throughput-v2";
 
 /// Everything that determines a throughput sweep; the output is
 /// reproducible from the config alone (wall-clock numbers aside).
@@ -65,8 +65,6 @@ pub struct ThroughputConfig {
     pub update_sizes: Vec<usize>,
     /// Bid updates timed per measurement block (amortizes timer overhead).
     pub updates_per_block: usize,
-    /// Worker threads for the batched path.
-    pub threads: usize,
     /// Per-cell time budget in nanoseconds (min-of-reps, at least two).
     pub target_ns_per_cell: u128,
 }
@@ -84,7 +82,6 @@ impl ThroughputConfig {
             batch_sizes: vec![1, 8, 64],
             update_sizes: vec![16, 256, 1024, 4096],
             updates_per_block: 256,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             target_ns_per_cell: 250_000_000,
         }
     }
@@ -113,12 +110,12 @@ pub struct ThroughputEntry {
     pub m: usize,
     /// Cell family: `"auction"` or `"bid-update"`.
     pub kind: &'static str,
-    /// Path slug: `"batched"` for auctions; `"incremental"` (chain
+    /// Path slug: `"engine"` for auctions; `"incremental"` (chain
     /// splice), `"engine-rebuild"` (in-place fallback) or
     /// `"full-recompute"` (one-shot solve per update) for bid updates.
     pub path: &'static str,
-    /// Batch size (markets per [`BatchAuctioneer::run`] call); `1` for
-    /// bid-update cells.
+    /// Batch size (markets cleared per timed block); `1` for bid-update
+    /// cells.
     pub batch: usize,
     /// Best-of-reps wall-clock per operation (one auction / one update),
     /// nanoseconds. Fractional: the timed block/batch is divided by the
@@ -176,21 +173,21 @@ fn slacked(bids: &[f64], denom: u32) -> Vec<f64> {
 }
 
 /// The batch of `markets` independent `m`-processor markets for one
-/// auctions/sec cell; market `k` draws its rates from seed `seed + k`.
+/// auctions/sec cell, as `(bids, observed)` pairs; market `k` draws its
+/// rates from seed `seed + k`.
 pub fn auction_workload(
     cfg: &ThroughputConfig,
-    model: SystemModel,
     m: usize,
     markets: usize,
-) -> Result<BatchWorkload, EngineError> {
-    let mut work = BatchWorkload::new(model, cfg.z, m)?;
-    for k in 0..markets {
-        let seed = cfg.seed.wrapping_add(k as u64);
-        let bids = quantized_rates(m, cfg.lo, cfg.hi, seed, cfg.denom);
-        let observed = slacked(&bids, cfg.denom);
-        work.push_market(&bids, &observed)?;
-    }
-    Ok(work)
+) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..markets)
+        .map(|k| {
+            let seed = cfg.seed.wrapping_add(k as u64);
+            let bids = quantized_rates(m, cfg.lo, cfg.hi, seed, cfg.denom);
+            let observed = slacked(&bids, cfg.denom);
+            (bids, observed)
+        })
+        .collect()
 }
 
 /// The frozen `(position, new_rate)` schedule replayed by both bid-update
@@ -214,18 +211,29 @@ pub fn update_schedule(cfg: &ThroughputConfig, m: usize) -> Vec<(usize, f64)> {
 /// Runs the whole sweep, emitting progress on stderr.
 pub fn run_sweep(cfg: &ThroughputConfig) -> Result<Vec<ThroughputEntry>, EngineError> {
     let mut entries = Vec::new();
-    let auctioneer = BatchAuctioneer::new(cfg.threads);
     for &model in &ALL_MODELS {
         let slug = model_slug(model);
 
         for &m in &cfg.auction_sizes {
             for &batch in &cfg.batch_sizes {
-                if batch == 0 {
+                let work = auction_workload(cfg, m, batch);
+                let Some((first, _)) = work.first() else {
                     continue;
-                }
-                let work = auction_workload(cfg, model, m, batch)?;
-                let (ns_batch, last) =
-                    time_ns(cfg.target_ns_per_cell, || auctioneer.run(&work));
+                };
+                let mut engine = AuctionEngine::new(model, cfg.z, first.clone())?;
+                let (ns_batch, last) = time_ns(cfg.target_ns_per_cell, || {
+                    let mut acc = 0.0;
+                    for (bids, observed) in &work {
+                        engine.load_bids(bids)?;
+                        acc += engine.optimal_makespan();
+                        acc += engine
+                            .payments(observed)?
+                            .iter()
+                            .map(|p| p.total())
+                            .sum::<f64>();
+                    }
+                    Ok::<f64, EngineError>(std::hint::black_box(acc))
+                });
                 last?;
                 let ns = ns_batch as f64 / batch as f64;
                 let ops = ops_per_sec(batch as u128, ns_batch);
@@ -236,7 +244,7 @@ pub fn run_sweep(cfg: &ThroughputConfig) -> Result<Vec<ThroughputEntry>, EngineE
                     model: slug,
                     m,
                     kind: "auction",
-                    path: "batched",
+                    path: "engine",
                     batch,
                     ns_per_op: ns,
                     ops_per_sec: ops,
@@ -327,8 +335,8 @@ pub fn render_json(cfg: &ThroughputConfig, entries: &[ThroughputEntry]) -> Strin
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!(
-        "  \"config\": {{\"seed\": {}, \"z\": {:?}, \"lo\": {:?}, \"hi\": {:?}, \"denom\": {}, \"updates_per_block\": {}, \"threads\": {}}},\n",
-        cfg.seed, cfg.z, cfg.lo, cfg.hi, cfg.denom, cfg.updates_per_block, cfg.threads
+        "  \"config\": {{\"seed\": {}, \"z\": {:?}, \"lo\": {:?}, \"hi\": {:?}, \"denom\": {}, \"updates_per_block\": {}}},\n",
+        cfg.seed, cfg.z, cfg.lo, cfg.hi, cfg.denom, cfg.updates_per_block
     ));
     s.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -362,9 +370,10 @@ mod tests {
     #[test]
     fn auction_workload_varies_per_market() {
         let cfg = ThroughputConfig::quick();
-        let work = auction_workload(&cfg, SystemModel::Cp, 16, 3).unwrap();
-        assert_eq!(work.markets(), 3);
-        assert_ne!(work.market_bids(0), work.market_bids(1));
+        let work = auction_workload(&cfg, 16, 3);
+        assert_eq!(work.len(), 3);
+        assert_ne!(work[0].0, work[1].0);
+        assert!(work.iter().all(|(b, o)| b.len() == 16 && o.len() == 16));
     }
 
     #[test]
@@ -374,13 +383,13 @@ mod tests {
             model: "cp",
             m: 16,
             kind: "auction",
-            path: "batched",
+            path: "engine",
             batch: 8,
             ns_per_op: 1200.5,
             ops_per_sec: 833_333,
         }];
         let json = render_json(&cfg, &entries);
-        assert!(json.contains("\"schema\": \"dls-bench-throughput-v1\""));
+        assert!(json.contains("\"schema\": \"dls-bench-throughput-v2\""));
         assert!(json.contains("\"kind\": \"auction\""));
         // Fractional per-op figures survive into the JSON (no integer
         // truncation of small per-op times).

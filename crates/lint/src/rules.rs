@@ -53,7 +53,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
          slice indexing are forbidden in protocol hot paths \
          (protocol/src/{runtime,referee,ledger,messages,fault,config,\
          executor,sched,service,multiload}.rs, \
-         mechanism/src/{engine,batch,multiload}.rs, dlt/src/multiload.rs, \
+         mechanism/src/{engine,multiload}.rs, dlt/src/multiload.rs, \
          bench/src/{throughput,sessions,service,multiload}.rs); a malformed \
          message must \
          yield a typed error, not a crashed session (Lemma 5.1)",
@@ -123,15 +123,16 @@ pub fn float_rule_applies(rel_path: &str) -> bool {
 }
 
 /// Paths covered by [`NO_PANIC_IN_PROTOCOL`]. Beyond the protocol hot
-/// paths, the auction engine and its batch/throughput layers qualify: they
+/// paths, the auction engine and its throughput sweep qualify: they
 /// re-solve markets from cached state on every bid update, so a panic there
 /// lets a deviant bid crash the auctioneer mid-round. The fault/degradation
 /// modules (`fault.rs`, `config.rs`) qualify for the same reason inverted:
 /// the layer that turns crashes into typed reports must not itself panic.
 /// The event-driven executor (`executor.rs`, `sched.rs`) multiplexes many
-/// sessions on one thread, so a panic there takes down every session in the
-/// shard, not just the faulty one; the sessions sweep rides along because it
-/// drives both paths from benchmark binaries that must report, not abort.
+/// sessions on one worker, so a panic there takes down every session queued
+/// on that worker, not just the faulty one; the sessions sweep rides along
+/// because it drives the service from a benchmark binary that must report,
+/// not abort.
 /// The always-on service (`service.rs`) is the strongest case of all: its
 /// workers outlive any one session, so a panic kills capacity for every
 /// future submission; its bench harness (`bench/src/service.rs`) rides
@@ -152,7 +153,6 @@ pub fn panic_rule_applies(rel_path: &str) -> bool {
             | "crates/protocol/src/executor.rs"
             | "crates/protocol/src/sched.rs"
             | "crates/mechanism/src/engine.rs"
-            | "crates/mechanism/src/batch.rs"
             | "crates/bench/src/throughput.rs"
             | "crates/bench/src/sessions.rs"
             | "crates/protocol/src/service.rs"

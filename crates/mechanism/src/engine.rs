@@ -62,14 +62,6 @@ pub enum EngineError {
         /// Provided length.
         got: usize,
     },
-    /// A batch worker terminated without filling its result slots — an
-    /// internal invariant breach surfaced as an error instead of a panic.
-    BatchIncomplete,
-    /// A batch worker panicked mid-chunk. The panic is caught at the chunk
-    /// boundary; only the markets the worker had not yet completed are
-    /// poisoned, and they report this error instead of unwinding the
-    /// caller.
-    WorkerPanicked,
 }
 
 impl fmt::Display for EngineError {
@@ -87,12 +79,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::LengthMismatch { expected, got } => {
                 write!(f, "expected a vector of length {expected}, got {got}")
-            }
-            EngineError::BatchIncomplete => {
-                write!(f, "batch worker exited without completing its markets")
-            }
-            EngineError::WorkerPanicked => {
-                write!(f, "batch worker panicked; its unfinished markets are poisoned")
             }
         }
     }
@@ -200,7 +186,8 @@ impl AuctionEngine {
     }
 
     /// Replaces the entire bid vector (full rebuild into the retained
-    /// buffers) — the batch layer's market-reload path.
+    /// buffers): clears a new market of the same size on one engine
+    /// without reallocating.
     pub fn load_bids(&mut self, bids: &[f64]) -> Result<(), EngineError> {
         let m = self.m();
         if bids.len() != m {

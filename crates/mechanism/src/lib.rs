@@ -54,14 +54,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod engine;
 pub mod exact;
 mod market;
 pub mod multiload;
 pub mod validate;
 
-pub use batch::{BatchAuctioneer, BatchOutcome, BatchReport, BatchWorkload, MarketFailure};
 pub use engine::{AuctionEngine, EngineError, Evaluation};
 pub use multiload::{MultiLoadEngine, MultiLoadMarket, MultiLoadOutcome, MultiMarketError};
 pub use market::{

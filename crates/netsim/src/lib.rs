@@ -17,8 +17,10 @@
 //!   ([`gantt`]).
 //!
 //! The event engine ([`engine`]) is a generic, deterministic
-//! priority-queue DES kernel (FIFO tie-breaking) reused by the protocol
-//! crate's timing accounting.
+//! priority-queue DES kernel (FIFO tie-breaking) shared by this crate's
+//! simulators ([`simulate`] and the linear-network model in [`linear`]).
+//! The protocol crate does not use it: its executor resolves phase
+//! barriers on its own `sched::EventQueue`.
 //!
 //! ```
 //! use dls_dlt::{BusParams, SystemModel, optimal};

@@ -1,9 +1,7 @@
 //! Event-driven session executor: the DLS-BL-NCP round as explicit state
-//! machines stepped by one deterministic loop, multiplexed over a fixed
-//! worker pool. It is the one protocol runtime: a single session
-//! ([`run_session_vm`]), a pooled batch ([`run_session_pooled`]) and every
-//! session the service ([`crate::service`]) runs all go through
-//! `drive_session`.
+//! machines stepped by one deterministic loop. It is the one protocol
+//! runtime: a single session ([`run_session_vm`]) and every session the
+//! service ([`crate::service`]) runs both go through `drive_session`.
 //!
 //! One round is data, not threads:
 //!
@@ -28,10 +26,6 @@
 //! order at every step, so with several simultaneous equivocators the
 //! reported conflict is picked by sender index.
 //!
-//! [`run_session_pooled`] shards N independent sessions across a fixed
-//! `std::thread::scope` pool (session `s` → worker `s mod workers`, no
-//! work stealing) with one event loop per worker.
-//!
 //! ## Bit-exactness contract
 //!
 //! Outcomes are checked against oracles that share no code with this
@@ -41,8 +35,8 @@
 //!   every outcome in the differential matrix
 //!   (`tests/tests/executor_differential.rs`, plus this module's unit
 //!   tests), recorded while a separate thread-per-party runtime still ran
-//!   beside this one and agreed with it bit for bit. The single-session,
-//!   pooled and service paths must all reproduce them;
+//!   beside this one and agreed with it bit for bit. The single-session
+//!   path and the service under both placements must reproduce them;
 //! * **the trusted market** — `dls_mechanism::Market::run` on the same
 //!   rates gives the payments a compliant session must reach
 //!   (`tests/tests/end_to_end.rs`);
@@ -79,7 +73,7 @@ use crate::runtime::{
     remap_active_configs, run_session_with, vectors_all_equal, verify_bid_view, verify_profiled,
     MessageStats, ProcResult, ProtocolViolation, RefResult, RoundOutput, RunError, SessionOutcome,
 };
-use crate::sched::{resolve_barrier, shard, EventQueue, VirtualClock};
+use crate::sched::{resolve_barrier, EventQueue, VirtualClock};
 use dls_crypto::pki::{KeyPair, Registry};
 use dls_crypto::{Signed, VerifyCache};
 use dls_dlt::BusParams;
@@ -1326,10 +1320,10 @@ pub(crate) fn drive_round(
 // Session-level entry points
 // ---------------------------------------------------------------------------
 
-/// The one per-session driver every execution path shares: the static
-/// pooled path, the work-stealing service ([`crate::service`]), and the
-/// single-session entry point all call this, so placement policies cannot
-/// drift from each other — they differ only in *which worker* and *when*
+/// The one per-session driver every execution path shares: the service
+/// ([`crate::service`]) under either placement and the single-session
+/// entry point both call this, so placement policies cannot drift from
+/// each other — they differ only in *which worker* and *when*
 /// `drive_session` runs, never in what it computes.
 pub(crate) fn drive_session(
     cfg: &SessionConfig,
@@ -1367,85 +1361,6 @@ pub(crate) fn drive_session_caught(
 pub fn run_session_vm(cfg: &SessionConfig) -> Result<SessionOutcome, RunError> {
     let mut scratch = VmScratch::new();
     drive_session(cfg, &mut scratch)
-}
-
-/// Runs a batch of independent sessions across a fixed worker pool:
-/// session `s` is executed by worker `s mod workers` on that worker's own
-/// event loop — no work stealing, so results and scheduling are
-/// deterministic for any worker count. Workers default to the machine's
-/// available parallelism.
-pub fn run_session_pooled(cfgs: &[SessionConfig]) -> Vec<Result<SessionOutcome, RunError>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    run_session_pooled_with(cfgs, workers)
-}
-
-/// [`run_session_pooled`] with an explicit worker count (floored at 1 and
-/// capped at the batch size).
-pub fn run_session_pooled_with(
-    cfgs: &[SessionConfig],
-    workers: usize,
-) -> Vec<Result<SessionOutcome, RunError>> {
-    let n = cfgs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return cfgs.iter().map(run_session_vm).collect();
-    }
-
-    let mut slots: Vec<Option<Result<SessionOutcome, RunError>>> = Vec::new();
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut scratch = VmScratch::new();
-                    let mut out: Vec<(usize, Result<SessionOutcome, RunError>)> = Vec::new();
-                    for idx in shard(n, workers, w) {
-                        if let Some(cfg) = cfgs.get(idx) {
-                            out.push((idx, drive_session(cfg, &mut scratch)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(results) => {
-                    for (idx, r) in results {
-                        if let Some(slot) = slots.get_mut(idx) {
-                            *slot = Some(r);
-                        }
-                    }
-                }
-                Err(_) => {
-                    // A panicked worker loses its whole shard; report each
-                    // of its sessions as a typed failure.
-                    for idx in shard(n, workers, w) {
-                        if let Some(slot) = slots.get_mut(idx) {
-                            *slot = Some(Err(RunError::Protocol(
-                                ProtocolViolation::invalid_state("session worker panicked"),
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.unwrap_or_else(|| {
-                Err(RunError::Protocol(ProtocolViolation::invalid_state(
-                    "session result missing from every worker shard",
-                )))
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1529,24 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_sequential_vm_with_uneven_shards() {
-        let cfgs: Vec<SessionConfig> = (0..5)
-            .map(|k| {
-                let mut c = base_cfg(&[Behavior::Compliant; 4]);
-                c.seed = 100 + k;
-                c
-            })
-            .collect();
-        let pooled = run_session_pooled_with(&cfgs, 4);
-        assert_eq!(pooled.len(), 5);
-        for (cfg, got) in cfgs.iter().zip(&pooled) {
-            let want = run_session_vm(cfg).expect("vm");
-            let got = got.as_ref().expect("pooled");
-            outcomes_equal(&want, got);
-        }
-    }
-
-    #[test]
     fn per_receiver_profile_is_outcome_neutral() {
         // The crypto profile changes how many modexps verification spends,
         // never a verdict: amortized and per-receiver sessions must be
@@ -1611,10 +1508,5 @@ mod tests {
         // that signs the digest directly.
         let cached = sign_cached(&key, MIN_MODULUS_BITS, 98, body.clone()).expect("sign");
         assert_eq!(cached, key.sign(body).expect("direct sign"));
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        assert!(run_session_pooled_with(&[], 4).is_empty());
     }
 }

@@ -38,8 +38,10 @@
 //!   state machines stepped by one deterministic loop on a virtual clock,
 //!   over an in-memory transport that models the tamper-proof network
 //!   with atomic broadcast; every message is counted (experiment E10,
-//!   Theorem 5.4 Θ(m²)). [`run_session_vm`] runs one session,
-//!   [`run_session_pooled`] a batch over a worker pool.
+//!   Theorem 5.4 Θ(m²)). [`run_session_vm`] runs one session.
+//! * [`service`] — the supervised worker pool every batch or stream of
+//!   sessions runs on: submit each config to a [`ServiceHandle`], then
+//!   wait on the tickets.
 //! * [`runtime`] — the session loop around the rounds (degraded re-runs,
 //!   ledger, realized timeline) and the outcome and error types.
 //! * [`referee`] — evidence types and adjudication, fines and reward
@@ -85,7 +87,7 @@ pub mod service;
 pub mod supervisor;
 
 pub use config::{Behavior, ProcessorConfig, SessionConfig};
-pub use executor::{run_session_pooled, run_session_pooled_with, run_session_vm, ProcessorState};
+pub use executor::{run_session_vm, ProcessorState};
 pub use multiload::{
     MultiLoadSession, MultiLoadSessionBuilder, MultiSessionError, MultiSessionOutcome,
 };

@@ -9,17 +9,15 @@
 //! intensity `z` and block count (the protocol-level notion of load
 //! volume).
 //!
-//! The runners deliberately add **no third execution path**: all three
-//! route through the same `drive_session` seam the single-load paths
-//! use, so a multi-load session inherits every existing guarantee —
-//! fault degradation, ledger conservation, service supervision — with
-//! zero new protocol code:
+//! The runners deliberately add **no new execution path**: both route
+//! through the same `drive_session` seam the single-load paths use, so a
+//! multi-load session inherits every existing guarantee — fault
+//! degradation, ledger conservation, service supervision — with zero new
+//! protocol code:
 //!
 //! * [`MultiLoadSession::run_vm`] — loads in order on one event-driven
 //!   executor, sharing a single `VmScratch` (per-load results bit-exact
 //!   with [`crate::executor::run_session_vm`] on each config).
-//! * [`MultiLoadSession::run_pooled`] — loads across the deterministic
-//!   worker pool ([`crate::executor::run_session_pooled_with`]).
 //! * [`MultiLoadSession::run_service`] — loads submitted to a running
 //!   supervised service ([`ServiceHandle`]); admission control, retry
 //!   and quarantine apply per load unchanged.
@@ -27,7 +25,7 @@
 use crate::config::{
     ConfigError, CryptoProfile, ProcessorConfig, SessionConfig, SessionConfigBuilder,
 };
-use crate::executor::{drive_session, run_session_pooled_with, VmScratch};
+use crate::executor::{drive_session, VmScratch};
 use crate::runtime::{RunError, SessionOutcome, SessionStatus};
 use crate::service::{Completed, ServiceHandle, SubmitError};
 use dls_dlt::SystemModel;
@@ -119,13 +117,6 @@ impl MultiLoadSession {
             .map(|cfg| drive_session(cfg, &mut scratch))
             .collect();
         MultiSessionOutcome { per_load }
-    }
-
-    /// Runs the loads across the deterministic worker pool.
-    pub fn run_pooled(&self, workers: usize) -> MultiSessionOutcome {
-        MultiSessionOutcome {
-            per_load: run_session_pooled_with(&self.sessions, workers),
-        }
     }
 
     /// Submits every load to a running supervised service and waits for
@@ -319,36 +310,38 @@ mod tests {
         assert!(out.makespans().iter().all(|m| m.is_some()));
     }
 
-    #[test]
-    fn pooled_path_matches_vm_path() {
+    fn assert_service_matches_vm(svc_cfg: ServiceConfig) {
         let ml = session();
         let vm = ml.run_vm();
-        let pooled = ml.run_pooled(2);
-        assert!(pooled.all_completed());
-        for (a, b) in vm.per_load.iter().zip(&pooled.per_load) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.makespan.map(f64::to_bits), b.makespan.map(f64::to_bits));
+        let svc = ServiceHandle::start(svc_cfg).unwrap();
+        let completed = ml.run_service(&svc).unwrap();
+        svc.shutdown();
+        assert_eq!(completed.len(), 2);
+        for (c, v) in completed.iter().zip(&vm.per_load) {
+            let c = c.as_ref().unwrap();
+            let got = c.outcome.as_ref().unwrap();
+            let want = v.as_ref().unwrap();
             assert_eq!(
-                a.ledger.conservation_error().to_bits(),
-                b.ledger.conservation_error().to_bits()
+                got.makespan.map(f64::to_bits),
+                want.makespan.map(f64::to_bits)
+            );
+            assert_eq!(
+                got.ledger.conservation_error().to_bits(),
+                want.ledger.conservation_error().to_bits()
             );
         }
     }
 
     #[test]
     fn service_path_runs_every_load_supervised() {
-        let ml = session();
-        let svc = ServiceHandle::start(ServiceConfig::stealing(2)).unwrap();
-        let completed = ml.run_service(&svc).unwrap();
-        svc.shutdown();
-        let vm = ml.run_vm();
-        assert_eq!(completed.len(), 2);
-        for (c, v) in completed.iter().zip(&vm.per_load) {
-            let c = c.as_ref().unwrap();
-            let got = c.outcome.as_ref().unwrap();
-            let want = v.as_ref().unwrap();
-            assert_eq!(got.makespan.map(f64::to_bits), want.makespan.map(f64::to_bits));
-        }
+        assert_service_matches_vm(ServiceConfig::stealing(2));
+    }
+
+    /// The static-placement service is what replaced the pooled runner:
+    /// each load still lands on a fixed worker and must match the VM path.
+    #[test]
+    fn pooled_path_matches_vm_path() {
+        assert_service_matches_vm(ServiceConfig::static_shard(2));
     }
 
     #[test]

@@ -348,10 +348,9 @@ fn ledger_sums(ledger: &Ledger, orig: usize) -> (f64, f64) {
 
 /// The session loop: runs `round_fn` over the active set until a round
 /// completes, then books the ledger, withheld payments, the realized
-/// timeline and the per-processor outcomes. Every execution path (the
-/// single-session entry point, the static pool and the service) reaches
-/// it through [`crate::executor::drive_session`] with the executor's round
-/// function.
+/// timeline and the per-processor outcomes. Both execution paths (the
+/// single-session entry point and the service) reach it through
+/// [`crate::executor::drive_session`] with the executor's round function.
 ///
 /// Non-participants are excluded from the active market (they receive
 /// utility 0, per §4); behaviours whose `victim`/`target` indices point at

@@ -13,12 +13,9 @@
 //! real time while reporting the faults, verdicts and degradation a
 //! real-time deadline would produce.
 //!
-//! Also here: the fixed-pool *sharding* rule — session `s` belongs to
-//! worker `s mod workers`, no work stealing — so a batch of N sessions is
-//! deterministically partitioned no matter how many workers run. The
-//! work-stealing alternative for continuously arriving sessions lives in
-//! [`crate::service`]; both route through the same per-session driver, so
-//! placement never changes an outcome.
+//! The clock and queue are per session, so which worker of the service
+//! ([`crate::service`]) runs a session, and when, never changes an
+//! outcome.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -184,17 +181,6 @@ pub fn resolve_barrier(
     }
 }
 
-/// The indices of worker `worker` under the fixed sharding rule: session
-/// `s` belongs to worker `s mod workers`. Returns an empty iterator for a
-/// worker id at or beyond `workers` (callers never spawn those).
-pub fn shard(sessions: usize, workers: usize, worker: usize) -> impl Iterator<Item = usize> {
-    let stride = workers.max(1);
-    let valid = worker < stride;
-    (worker.min(sessions)..sessions)
-        .step_by(stride)
-        .filter(move |_| valid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,27 +320,5 @@ mod tests {
         let out = resolve_barrier(&mut q, 42, 50, &[(0, 0), (1, 0)]);
         assert_eq!(out.completed_at_ms, 42);
         assert!(out.removed.is_empty());
-    }
-
-    #[test]
-    fn shard_partitions_exactly() {
-        // 5 sessions over 4 workers: the uneven-shard shape from the PR-3
-        // batch-sizing bug. Every session appears exactly once.
-        let mut seen = vec![0usize; 5];
-        for w in 0..4 {
-            for s in shard(5, 4, w) {
-                seen[s] += 1;
-            }
-        }
-        assert_eq!(seen, vec![1; 5]);
-        assert_eq!(shard(5, 4, 0).collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(shard(5, 4, 3).collect::<Vec<_>>(), vec![3]);
-    }
-
-    #[test]
-    fn shard_degenerate_worker_counts() {
-        assert_eq!(shard(3, 1, 0).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(shard(0, 4, 1).count(), 0);
-        assert_eq!(shard(2, 8, 7).count(), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! Always-on auction service: streaming session ingestion over a
 //! supervised, overload-safe fixed worker pool with work stealing.
 //!
-//! [`crate::executor::run_session_pooled_with`] answers the batch
-//! question — N sessions known up front, statically sharded `s mod
-//! workers`. A production deployment does not see batches: sessions
-//! arrive continuously, and a static shard rule lets one slow stream of
-//! work (large m, fault-heavy, crypto-enabled) pile sessions behind a
-//! busy worker while its neighbours idle. This module keeps the workers
-//! alive across submissions and fixes the placement problem twice over:
+//! This is the one way to run many sessions concurrently, whether they
+//! arrive as a batch known up front or as a continuous stream: submit
+//! each config with [`ServiceHandle::submit`], then [`ServiceHandle::wait`]
+//! on the tickets. A static shard rule (`s mod workers`) lets one slow
+//! stream of work (large m, fault-heavy, crypto-enabled) pile sessions
+//! behind a busy worker while its neighbours idle. This module keeps the
+//! workers alive across submissions and fixes the placement problem twice
+//! over:
 //!
 //! * **at submit time** — a ticket is placed on the *shortest* queue
 //!   (by current length, ties to the lowest worker index), not on
@@ -55,8 +56,8 @@
 //! per-session driver, carrying its own [`crate::sched::VirtualClock`]
 //! and event queue in the worker's scratch arena. Which worker runs a
 //! session, when, and on which attempt is a wall-clock concern that
-//! never feeds the protocol: outcomes are bit-exact against the
-//! static-shard pooled path and the frozen outcome digests even when the
+//! never feeds the protocol: outcomes are bit-exact across both
+//! placements and against the frozen outcome digests even when the
 //! session's first worker was killed mid-job (pinned by
 //! `tests/tests/{service_differential,service_chaos}.rs`). Wall-clock
 //! enters exactly once — the [`latency`] module — and those readings are
@@ -122,11 +123,11 @@ pub enum Placement {
     /// Shortest-queue-first at submit, steal-half when idle. The
     /// production policy.
     Stealing,
-    /// `ticket mod workers` at submit, no stealing — the service-resident
-    /// twin of [`crate::executor::run_session_pooled_with`]'s static
-    /// shard, kept as the benchmark baseline so both policies measure
-    /// identical submission/retrieval machinery. Dead worker slots are
-    /// probed past so a shrunk pool still drains every shard.
+    /// `ticket mod workers` at submit, no stealing: a deterministic
+    /// partition of a batch, kept as the benchmark baseline so both
+    /// policies measure identical submission/retrieval machinery. Dead
+    /// worker slots are probed past so a shrunk pool still drains every
+    /// shard.
     StaticShard,
 }
 
@@ -266,11 +267,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Queue placement and stealing policy.
     pub placement: Placement,
-    /// Reuse each worker's [`VmScratch`] arena across sessions (the
-    /// steady-state default). `false` builds a fresh arena per session —
-    /// the pre-arena behaviour, kept selectable so the benchmark can
-    /// disclose the difference.
-    pub reuse_scratch: bool,
     /// Upper bound on *queued* (not yet running) sessions. `None` — the
     /// default — admits everything, the pre-hardening behaviour.
     pub queue_capacity: Option<usize>,
@@ -302,12 +298,11 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// `workers` stealing workers with scratch reuse on and no bounds.
+    /// `workers` stealing workers with no bounds.
     pub fn stealing(workers: usize) -> Self {
         ServiceConfig {
             workers,
             placement: Placement::Stealing,
-            reuse_scratch: true,
             queue_capacity: None,
             admission: AdmissionPolicy::Reject,
             results_capacity: None,
@@ -318,7 +313,7 @@ impl ServiceConfig {
         }
     }
 
-    /// `workers` static-shard workers with scratch reuse on and no bounds.
+    /// `workers` static-shard workers with no bounds.
     pub fn static_shard(workers: usize) -> Self {
         ServiceConfig {
             placement: Placement::StaticShard,
@@ -434,7 +429,6 @@ pub(crate) struct Shared {
     /// relative to this.
     pub(crate) epoch: latency::Stamp,
     pub(crate) placement: Placement,
-    pub(crate) reuse_scratch: bool,
     pub(crate) queue_capacity: Option<usize>,
     pub(crate) admission: AdmissionPolicy,
     pub(crate) results_capacity: Option<usize>,
@@ -796,10 +790,8 @@ impl Shared {
             .is_some_and(|&times| attempt <= times);
         let result = if injected_panic {
             None
-        } else if self.reuse_scratch {
-            drive_session_caught(&job.cfg, scratch)
         } else {
-            drive_session_caught(&job.cfg, &mut VmScratch::new())
+            drive_session_caught(&job.cfg, scratch)
         };
         match result {
             Some(outcome) => self.publish(Completed {
@@ -1003,7 +995,6 @@ impl ServiceHandle {
             shutdown: AtomicBool::new(false),
             epoch: latency::Stamp::now(),
             placement: cfg.placement,
-            reuse_scratch: cfg.reuse_scratch,
             queue_capacity: cfg.queue_capacity,
             admission: cfg.admission,
             results_capacity: cfg.results_capacity,
@@ -1270,22 +1261,6 @@ mod tests {
             assert!(table.done.contains_key(&t), "ticket {t} not drained");
         }
         assert!(table.pending.is_empty(), "pending set not drained");
-    }
-
-    #[test]
-    fn fresh_scratch_matches_reused_scratch() {
-        let reused = start(ServiceConfig::stealing(2));
-        let fresh = start(ServiceConfig {
-            reuse_scratch: false,
-            ..ServiceConfig::stealing(2)
-        });
-        let tr = reused.submit(cfg(31)).expect("admitted");
-        let tf = fresh.submit(cfg(31)).expect("admitted");
-        let a = reused.wait(tr).expect("reused").outcome.expect("ok");
-        let b = fresh.wait(tf).expect("fresh").outcome.expect("ok");
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        reused.shutdown();
-        fresh.shutdown();
     }
 
     #[test]

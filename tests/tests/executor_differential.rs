@@ -6,9 +6,9 @@
 //! 6754f5bd880b, where this suite asserted that runtime and the executor
 //! bit-identical. That runtime has since been removed. Every execution
 //! path must still reproduce the frozen outcomes:
-//! [`dls_protocol::run_session_vm`], the static pool
-//! ([`dls_protocol::run_session_pooled_with`]) and the work-stealing
-//! service ([`dls_protocol::ServiceHandle`]). Between the paths the suite
+//! [`dls_protocol::run_session_vm`] and the service
+//! ([`dls_protocol::ServiceHandle`]) under static-shard and work-stealing
+//! placement. Between the paths the suite
 //! also compares outcomes field by field — allocations, payments, fines,
 //! rewards, utilities, message accounting, ledger journal, timeline, and
 //! fault-plan degradation reports.
@@ -26,7 +26,7 @@ use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
 use dls_protocol::fault::FaultPlan;
 use dls_protocol::referee::Phase;
 use dls_protocol::service::{ServiceConfig, ServiceHandle};
-use dls_protocol::{run_session_pooled_with, run_session_vm, SessionOutcome};
+use dls_protocol::{run_session_vm, SessionOutcome};
 
 /// `(cell, hex SHA-256 of the outcome's Debug rendering)`, frozen from the
 /// thread-per-party runtime at commit 6754f5bd880b (see the module docs).
@@ -184,43 +184,52 @@ fn frozen(cell: &str) -> &'static str {
         .unwrap_or_else(|| panic!("{cell}: no frozen digest"))
 }
 
-/// Runs every `(cell, config)` on the single-session entry point, the
-/// static pool (4 workers) and the work-stealing service; each outcome
-/// must match the cell's frozen digest, and the pooled and service
-/// outcomes must equal the single-session one field by field. Returns
-/// the single-session outcomes.
+/// Runs every `(cell, config)` on the single-session entry point, a
+/// static-shard service (4 workers) and a work-stealing service (2
+/// workers); each outcome must match the cell's frozen digest, and both
+/// service outcomes must equal the single-session one field by field.
+/// Returns the single-session outcomes.
 fn check_cells(cells: &[(String, SessionConfig)]) -> Vec<SessionOutcome> {
-    let cfgs: Vec<SessionConfig> = cells.iter().map(|(_, cfg)| cfg.clone()).collect();
-    let pooled = run_session_pooled_with(&cfgs, 4);
-    assert_eq!(pooled.len(), cells.len());
-    let svc = ServiceHandle::start(ServiceConfig::stealing(2)).expect("service starts");
-    let tickets: Vec<u64> = cfgs
+    let services = [
+        ("static-shard", ServiceConfig::static_shard(4)),
+        ("stealing", ServiceConfig::stealing(2)),
+    ]
+    .map(|(name, cfg)| (name, ServiceHandle::start(cfg).expect("service starts")));
+    let tickets: Vec<Vec<u64>> = services
         .iter()
-        .map(|cfg| svc.submit(cfg.clone()).expect("service admits the session"))
+        .map(|(_, svc)| {
+            cells
+                .iter()
+                .map(|(_, cfg)| svc.submit(cfg.clone()).expect("service admits the session"))
+                .collect()
+        })
         .collect();
     let mut outcomes = Vec::with_capacity(cells.len());
-    for (((cell, cfg), pooled), ticket) in cells.iter().zip(&pooled).zip(tickets) {
+    for (k, (cell, cfg)) in cells.iter().enumerate() {
         let vm = run_session_vm(cfg).unwrap_or_else(|e| panic!("{cell}: vm failed: {e}"));
-        let pooled = pooled
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{cell}: pooled failed: {e}"));
-        let served = svc
-            .wait(ticket)
-            .unwrap_or_else(|| panic!("{cell}: service ticket vanished"))
-            .outcome
-            .unwrap_or_else(|e| panic!("{cell}: service failed: {e:?}"));
-        assert_outcomes_identical(&vm, pooled, &format!("{cell} (pooled)"));
-        assert_outcomes_identical(&vm, &served, &format!("{cell} (service)"));
-        for (path, outcome) in [("vm", &vm), ("pooled", pooled), ("service", &served)] {
+        assert_eq!(
+            outcome_digest(&vm),
+            frozen(cell),
+            "{cell}: vm outcome differs from the frozen threaded outcome"
+        );
+        for ((path, svc), tickets) in services.iter().zip(&tickets) {
+            let served = svc
+                .wait(tickets[k])
+                .unwrap_or_else(|| panic!("{cell}: {path} service ticket vanished"))
+                .outcome
+                .unwrap_or_else(|e| panic!("{cell}: {path} service failed: {e:?}"));
+            assert_outcomes_identical(&vm, &served, &format!("{cell} ({path} service)"));
             assert_eq!(
-                outcome_digest(outcome),
+                outcome_digest(&served),
                 frozen(cell),
-                "{cell}: {path} outcome differs from the frozen threaded outcome"
+                "{cell}: {path} service outcome differs from the frozen threaded outcome"
             );
         }
         outcomes.push(vm);
     }
-    svc.shutdown();
+    for (_, svc) in &services {
+        svc.shutdown();
+    }
     outcomes
 }
 
@@ -344,9 +353,10 @@ fn fault_plans_bit_identical_including_degradation_reports() {
 }
 
 #[test]
-fn uneven_shard_pooled_matches_threaded_per_session() {
-    // 5 sessions over 4 workers: worker 0 owns sessions {0, 4}, the rest
-    // one each — the non-tiling shape from an earlier batch-sizing bug.
+fn uneven_shard_services_match_threaded_per_session() {
+    // 5 sessions over the 4-worker static-shard service: worker 0 owns
+    // sessions {0, 4}, the rest one each — the non-tiling shape from an
+    // earlier batch-sizing bug.
     // Sessions differ (varying seeds and one injected fault) so a
     // misrouted or dropped shard cannot pass by accident.
     let cells: Vec<(String, SessionConfig)> = (0..5u64)

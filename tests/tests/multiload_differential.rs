@@ -220,6 +220,7 @@ fn single_load_pipeline_collapses_to_the_closed_form() {
 #[test]
 fn protocol_session_paths_agree_and_punish_misreports() {
     use dls::protocol::config::{Behavior, ProcessorConfig};
+    use dls::protocol::service::{ServiceConfig, ServiceHandle};
     use dls::protocol::MultiLoadSession;
     use dls::SystemModel;
 
@@ -236,13 +237,17 @@ fn protocol_session_paths_agree_and_punish_misreports() {
             .unwrap()
     };
 
-    // vm and pooled paths agree bit-exactly per load.
+    // vm and service paths agree bit-exactly per load.
     let honest = build(Behavior::Compliant);
     let vm = honest.run_vm();
-    let pooled = honest.run_pooled(3);
-    assert!(vm.all_completed() && pooled.all_completed());
-    for (a, b) in vm.per_load.iter().zip(&pooled.per_load) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+    let svc = ServiceHandle::start(ServiceConfig::static_shard(3)).unwrap();
+    let served = honest.run_service(&svc).unwrap();
+    svc.shutdown();
+    assert!(vm.all_completed());
+    assert_eq!(served.len(), vm.per_load.len());
+    for (a, b) in vm.per_load.iter().zip(&served) {
+        let a = a.as_ref().unwrap();
+        let b = b.as_ref().unwrap().outcome.as_ref().unwrap();
         assert_eq!(a.makespan.map(f64::to_bits), b.makespan.map(f64::to_bits));
         for i in 0..3 {
             assert_eq!(a.utility(i).to_bits(), b.utility(i).to_bits());

@@ -261,7 +261,7 @@ fn validate_throughput_json(json: &str) {
     let models = ["\"cp\"", "\"ncp-fe\"", "\"ncp-nfe\""];
     let kinds = ["\"auction\"", "\"bid-update\""];
     let paths = [
-        "\"batched\"",
+        "\"engine\"",
         "\"incremental\"",
         "\"engine-rebuild\"",
         "\"full-recompute\"",
@@ -384,7 +384,7 @@ fn validate_sessions_json(json: &str) {
             assert!(line.contains(key), "entry missing {key}: {line}");
         }
         assert!(
-            line.contains("\"path\": \"pooled\""),
+            line.contains("\"path\": \"service\""),
             "unknown path in {line}"
         );
         assert!(
@@ -431,14 +431,14 @@ fn committed_ns_per_session(
 /// processor plus the referee, condvar phase barriers) in the committed
 /// `BENCH_sessions.json` at commit 6754f5bd880b: the `"threaded"`,
 /// amortized, m = 16, batch = 1024 cell, in ns/session. That runtime has
-/// been removed; the pooled executor's committed cell is still held to at
-/// most a tenth of this baseline.
+/// been removed; the service's committed cell is still held to at most a
+/// tenth of this baseline.
 const THREADED_M16_B1024_NS_PER_SESSION: f64 = 771658034.6875;
 
 /// A quick sessions sweep must cover every (m, batch, path, verify) cell
 /// of its config and emit a document matching the documented schema. The
 /// committed `BENCH_sessions.json` (when present) must match the schema
-/// and carry both headlines: the pooled executor at least 10× the frozen
+/// and carry both headlines: the service at least 10× the frozen
 /// threaded-runtime baseline's sessions/sec at m = 16, batch = 1024, and
 /// amortized verification at least 5× the per-receiver `pow_mod`
 /// baseline at m = 64 — the cell where the Θ(m²) broadcast makes
@@ -449,7 +449,7 @@ fn sessions_bench_json_matches_documented_schema() {
     let entries = sessions::run_sweep(&cfg).expect("quick sweep must succeed");
     for &m in &cfg.m_sizes {
         for &batch in &cfg.batch_sizes {
-            for (path, verify) in [("pooled", "amortized"), ("pooled", "per-receiver")] {
+            for (path, verify) in [("service", "amortized"), ("service", "per-receiver")] {
                 assert!(
                     entries.iter().any(|e| e.m == m
                         && e.batch == batch
@@ -466,19 +466,19 @@ fn sessions_bench_json_matches_documented_schema() {
     match std::fs::read_to_string(committed) {
         Ok(json) => {
             validate_sessions_json(&json);
-            let pooled = committed_ns_per_session(&json, 16, 1024, "pooled", "amortized")
-                .expect("committed file has the pooled amortized m=16 batch=1024 cell");
+            let served = committed_ns_per_session(&json, 16, 1024, "service", "amortized")
+                .expect("committed file has the service amortized m=16 batch=1024 cell");
             let threaded = THREADED_M16_B1024_NS_PER_SESSION;
             assert!(
-                pooled > 0.0 && threaded / pooled >= 10.0,
-                "committed BENCH_sessions.json no longer shows the >= 10x pooled speedup \
-                 at m=16 batch=1024: {:.1}x",
-                threaded / pooled
+                served > 0.0 && threaded / served >= 10.0,
+                "committed BENCH_sessions.json no longer shows the >= 10x speedup over the \
+                 threaded runtime at m=16 batch=1024: {:.1}x",
+                threaded / served
             );
-            let amortized = committed_ns_per_session(&json, 64, 1024, "pooled", "amortized")
-                .expect("committed file has the pooled amortized m=64 batch=1024 cell");
-            let naive = committed_ns_per_session(&json, 64, 1024, "pooled", "per-receiver")
-                .expect("committed file has the pooled per-receiver m=64 batch=1024 cell");
+            let amortized = committed_ns_per_session(&json, 64, 1024, "service", "amortized")
+                .expect("committed file has the service amortized m=64 batch=1024 cell");
+            let naive = committed_ns_per_session(&json, 64, 1024, "service", "per-receiver")
+                .expect("committed file has the service per-receiver m=64 batch=1024 cell");
             assert!(
                 amortized > 0.0 && naive / amortized >= 5.0,
                 "committed BENCH_sessions.json no longer shows the >= 5x amortized \
@@ -512,7 +512,6 @@ fn validate_service_json(json: &str) {
             "\"mix\": ",
             "\"mode\": ",
             "\"path\": ",
-            "\"scratch\": ",
             "\"batch\": ",
             "\"workers\": ",
             "\"arrival_per_sec\": ",
@@ -550,13 +549,8 @@ fn validate_service_json(json: &str) {
         );
         assert!(
             line.contains("\"path\": \"service-steal\"")
-                || line.contains("\"path\": \"service-static\"")
-                || line.contains("\"path\": \"pooled-static\""),
+                || line.contains("\"path\": \"service-static\""),
             "unknown path in {line}"
-        );
-        assert!(
-            line.contains("\"scratch\": \"reused\"") || line.contains("\"scratch\": \"fresh\""),
-            "unknown scratch column in {line}"
         );
         if line.contains("\"mode\": \"paced\"") {
             paced += 1;
@@ -573,15 +567,14 @@ fn validate_service_json(json: &str) {
 }
 
 /// Extracts a numeric field from the committed service-JSON entry matching
-/// `(mix, mode, path, scratch)`, if present. `churn` selects between the
-/// kill-churn re-run of a cell (`kill_every > 0`) and its fault-free
-/// sibling, which share all four identifying columns.
+/// `(mix, mode, path)`, if present. `churn` selects between the kill-churn
+/// re-run of a cell (`kill_every > 0`) and its fault-free sibling, which
+/// share all three identifying columns.
 fn committed_service_field(
     json: &str,
     mix: &str,
     mode: &str,
     path: &str,
-    scratch: &str,
     churn: bool,
     field: &str,
 ) -> Option<f64> {
@@ -591,7 +584,6 @@ fn committed_service_field(
             || !line.contains(&format!("\"mix\": \"{mix}\""))
             || !line.contains(&format!("\"mode\": \"{mode}\""))
             || !line.contains(&format!("\"path\": \"{path}\""))
-            || !line.contains(&format!("\"scratch\": \"{scratch}\""))
             || line.contains("\"kill_every\": 0,") == churn
         {
             continue;
@@ -609,13 +601,10 @@ fn committed_service_field(
 /// A quick service sweep must cover every documented cell shape, emit a
 /// document matching the schema, and show work stealing beating static
 /// sharding on paced tail latency. The committed `BENCH_service.json`
-/// (when present) must match the schema and carry the two acceptance
-/// headlines: on the paced skewed mix, stealing's p99 latency at most
-/// half of static sharding's at equal worker count; and on the uniform
-/// closed control, the service's sessions/sec no worse than the pooled
-/// batch baseline (0.95 floor: the same per-session driver plus ticket
-/// machinery, measured on a shared box). Schema v2 adds the kill-churn
-/// acceptance: churn cells present on both service paths, zero lost
+/// (when present) must match the schema and carry the placement
+/// headline: on the paced skewed mix, stealing's p99 latency at most half
+/// of static sharding's at equal worker count. It also carries the
+/// kill-churn acceptance: churn cells present on both service paths, zero lost
 /// tickets anywhere, supervisor respawns covering every kill, and the
 /// committed churn p99 within 5x of the fault-free sibling cell.
 #[test]
@@ -625,7 +614,6 @@ fn service_bench_json_matches_documented_schema() {
     for (mix, mode, path) in [
         ("uniform", "closed", "service-steal"),
         ("uniform", "closed", "service-static"),
-        ("uniform", "closed", "pooled-static"),
         ("skewed", "closed", "service-steal"),
         ("skewed", "closed", "service-static"),
         ("skewed", "paced", "service-steal"),
@@ -638,10 +626,6 @@ fn service_bench_json_matches_documented_schema() {
             "missing cell {mix}/{mode}/{path}"
         );
     }
-    assert!(
-        entries.iter().any(|e| e.scratch == "fresh"),
-        "scratch-arena disclosure cell missing"
-    );
     // Kill-churn cells: present on both service paths, with the plan
     // actually firing, the supervisor actually healing, and — the whole
     // point — zero lost tickets anywhere in the sweep.
@@ -669,11 +653,8 @@ fn service_bench_json_matches_documented_schema() {
     service::churn_p99_ratio(&entries)
         .expect("churn and fault-free skewed closed stealing cells must pair by batch");
     // Latency capture must produce ordered, non-degenerate percentiles on
-    // the paced cells.
-    for e in entries
-        .iter()
-        .filter(|e| e.mode == "paced" || e.path != "pooled-static")
-    {
+    // every cell.
+    for e in &entries {
         assert!(
             e.p50_ns <= e.p95_ns && e.p95_ns <= e.p99_ns && e.p99_ns <= e.max_ns,
             "latency percentiles out of order in {}/{}/{}",
@@ -700,12 +681,16 @@ fn service_bench_json_matches_documented_schema() {
     match std::fs::read_to_string(committed) {
         Ok(json) => {
             validate_service_json(&json);
-            let steal_p99 = committed_service_field(
-                &json, "skewed", "paced", "service-steal", "reused", false, "p99_ns",
-            )
-            .expect("committed file has the paced stealing cell");
+            let steal_p99 =
+                committed_service_field(&json, "skewed", "paced", "service-steal", false, "p99_ns")
+                    .expect("committed file has the paced stealing cell");
             let static_p99 = committed_service_field(
-                &json, "skewed", "paced", "service-static", "reused", false, "p99_ns",
+                &json,
+                "skewed",
+                "paced",
+                "service-static",
+                false,
+                "p99_ns",
             )
             .expect("committed file has the paced static cell");
             assert!(
@@ -714,31 +699,21 @@ fn service_bench_json_matches_documented_schema() {
                  from work stealing on the skewed paced mix: {:.2}x",
                 static_p99 / steal_p99
             );
-            let svc_rate = committed_service_field(
-                &json, "uniform", "closed", "service-steal", "reused", false, "sessions_per_sec",
-            )
-            .expect("committed file has the uniform closed stealing cell");
-            let pooled_rate = committed_service_field(
-                &json, "uniform", "closed", "pooled-static", "reused", false, "sessions_per_sec",
-            )
-            .expect("committed file has the uniform closed pooled baseline");
-            assert!(
-                pooled_rate > 0.0 && svc_rate / pooled_rate >= 0.95,
-                "committed BENCH_service.json shows the service losing to the pooled \
-                 batch baseline on the uniform control: {:.2}x",
-                svc_rate / pooled_rate
-            );
             // Kill-churn acceptance: the faulted stealing cell's p99 stays
             // within 5x of its fault-free sibling at the same batch (the
             // supervisor requeues around kills instead of head-of-line
             // blocking the stream), and the worst death->respawn recovery
             // stays sub-second on a loaded box.
-            let churn_p99 = committed_service_field(
-                &json, "skewed", "closed", "service-steal", "reused", true, "p99_ns",
-            )
-            .expect("committed file has the kill-churn stealing cell");
+            let churn_p99 =
+                committed_service_field(&json, "skewed", "closed", "service-steal", true, "p99_ns")
+                    .expect("committed file has the kill-churn stealing cell");
             let base_p99 = committed_service_field(
-                &json, "skewed", "closed", "service-steal", "reused", false, "p99_ns",
+                &json,
+                "skewed",
+                "closed",
+                "service-steal",
+                false,
+                "p99_ns",
             )
             .expect("committed file has the fault-free skewed closed stealing cell");
             assert!(
@@ -749,7 +724,12 @@ fn service_bench_json_matches_documented_schema() {
             );
             for path in ["service-steal", "service-static"] {
                 let recovery = committed_service_field(
-                    &json, "skewed", "closed", path, "reused", true, "recovery_max_ns",
+                    &json,
+                    "skewed",
+                    "closed",
+                    path,
+                    true,
+                    "recovery_max_ns",
                 )
                 .unwrap_or_else(|| panic!("committed file has the {path} kill-churn cell"));
                 assert!(

@@ -1,9 +1,10 @@
 //! Differential suite for the always-on session service
 //! ([`dls_protocol::ServiceHandle`]): placement affects *when* a session
 //! runs, never *what* it computes. Every outcome retrieved from the
-//! service — under work stealing or static-shard placement, with the
-//! per-worker scratch arena reused or rebuilt — must reproduce
-//! [`dls_protocol::run_session_vm`] **bit for bit** (which the executor
+//! service — under work stealing or static-shard placement, on a worker
+//! scratch arena reused across sessions — must reproduce
+//! [`dls_protocol::run_session_vm`] **bit for bit** (a fresh arena per
+//! call) (which the executor
 //! suite in turn pins against frozen outcome digests), across strategic
 //! behaviors and liveness-fault plans.
 //!
@@ -11,16 +12,15 @@
 //! which formats floats as their shortest round-trip representation and is
 //! therefore also bit-exact); nothing is compared with a tolerance.
 //!
-//! Also here: the uneven-stream regression the service satellite calls
-//! for — 7 sessions over 3 workers, pooled(static) == service(stealing)
-//! outcome-for-outcome.
+//! Also here: the uneven-stream regression — 7 sessions over 3 workers,
+//! service(static) == service(stealing) outcome-for-outcome.
 
 use dls_dlt::SystemModel;
 use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
 use dls_protocol::fault::FaultPlan;
 use dls_protocol::referee::Phase;
-use dls_protocol::service::{Placement, ServiceConfig, ServiceHandle};
-use dls_protocol::{run_session_pooled_with, run_session_vm, SessionOutcome};
+use dls_protocol::service::{ServiceConfig, ServiceHandle};
+use dls_protocol::{run_session_vm, SessionOutcome};
 
 const Z: f64 = 0.25;
 const W: [f64; 4] = [1.0, 1.6, 2.2, 3.1];
@@ -158,24 +158,18 @@ fn fault_plans_bit_identical_through_the_service() {
         ("garbage-payments", FaultPlan::GarbageAt(Phase::Payments)),
         ("delay-bidding", FaultPlan::DelayAt(Phase::Bidding, 50)),
     ];
-    // Static-shard placement and a fresh-arena config both take the same
-    // per-session driver; alternate them across the fault matrix so both
-    // service configurations face degraded re-runs.
+    // Static-shard and stealing placement both take the same per-session
+    // driver; alternate them across the fault matrix so both placements
+    // face degraded re-runs.
     let stat = ServiceHandle::start(ServiceConfig::static_shard(2)).expect("service start");
-    let fresh = ServiceHandle::start(ServiceConfig {
-        workers: 2,
-        placement: Placement::Stealing,
-        reuse_scratch: false,
-        ..ServiceConfig::stealing(2)
-    })
-    .expect("service start");
+    let steal = ServiceHandle::start(ServiceConfig::stealing(2)).expect("service start");
     for (i, (name, plan)) in plans.into_iter().enumerate() {
         let cfg = session(
             model,
             |_| Behavior::Compliant,
             |j| if j == faulty { plan } else { FaultPlan::None },
         );
-        let svc = if i % 2 == 0 { &stat } else { &fresh };
+        let svc = if i % 2 == 0 { &stat } else { &steal };
         let what = format!("service/fault/{name}");
         assert_service_matches_vm(svc, &cfg, &what);
         // Crash/mute/garbage plans must actually degrade — a vacuously
@@ -189,12 +183,12 @@ fn fault_plans_bit_identical_through_the_service() {
         );
     }
     stat.shutdown();
-    fresh.shutdown();
+    steal.shutdown();
 }
 
 #[test]
-fn uneven_stream_pooled_static_matches_service_stealing() {
-    // The satellite regression: 7 sessions over 3 workers — uneven on
+fn uneven_stream_service_static_matches_service_stealing() {
+    // 7 sessions over 3 workers — uneven on
     // both the static shard (worker 0 owns {0, 3, 6}) and the stealing
     // service (whichever worker idles takes more). Sessions differ
     // (varying seeds, one strategic deviant, one fault plan) so a
@@ -223,31 +217,29 @@ fn uneven_stream_pooled_static_matches_service_stealing() {
         })
         .collect();
 
-    let pooled = run_session_pooled_with(&cfgs, 3);
-    assert_eq!(pooled.len(), cfgs.len());
-
-    let svc = ServiceHandle::start(ServiceConfig::stealing(3)).expect("service start");
-    let tickets: Vec<u64> = cfgs
+    let stat = ServiceHandle::start(ServiceConfig::static_shard(3)).expect("service start");
+    let steal = ServiceHandle::start(ServiceConfig::stealing(3)).expect("service start");
+    let tickets: Vec<(u64, u64)> = cfgs
         .iter()
-        .map(|c| svc.submit(c.clone()).expect("submit refused"))
+        .map(|c| {
+            let s = stat.submit(c.clone()).expect("static submit refused");
+            let t = steal.submit(c.clone()).expect("stealing submit refused");
+            (s, t)
+        })
         .collect();
-    for (k, (ticket, from_pool)) in tickets.iter().zip(&pooled).enumerate() {
-        let done = svc
-            .wait(*ticket)
-            .unwrap_or_else(|| panic!("session {k}: service lost ticket {ticket}"));
-        let stolen = done
-            .outcome
-            .unwrap_or_else(|e| panic!("session {k}: service: {e}"));
-        let pooled_outcome = from_pool
-            .as_ref()
-            .unwrap_or_else(|e| panic!("session {k}: pooled: {e}"));
-        assert_outcomes_identical(
-            pooled_outcome,
-            &stolen,
-            &format!("uneven-stream session {k}"),
-        );
+    for (k, (s, t)) in tickets.into_iter().enumerate() {
+        let outcome = |svc: &ServiceHandle, ticket: u64, path: &str| {
+            svc.wait(ticket)
+                .unwrap_or_else(|| panic!("session {k}: {path} service lost ticket {ticket}"))
+                .outcome
+                .unwrap_or_else(|e| panic!("session {k}: {path} service: {e}"))
+        };
+        let sharded = outcome(&stat, s, "static");
+        let stolen = outcome(&steal, t, "stealing");
+        assert_outcomes_identical(&sharded, &stolen, &format!("uneven-stream session {k}"));
     }
-    svc.shutdown();
+    stat.shutdown();
+    steal.shutdown();
 }
 
 // --- Ticket-lifecycle edges --------------------------------------------

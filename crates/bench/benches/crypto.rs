@@ -2,7 +2,10 @@
 //! per-message costs of the protocol's signature envelope.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dls_crypto::{rsa, sha256};
+use dls_crypto::pki::{KeyPair, Registry};
+use dls_crypto::{rsa, sha256, VerifyCache};
+use dls_protocol::blocks::{DataSet, USER_IDENTITY};
+use dls_protocol::messages::{BidBody, GrantBody};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -44,6 +47,46 @@ fn bench_sign_verify(c: &mut Criterion) {
     g.finish();
 }
 
+/// `verify_cached` of one sealed envelope: a hit (the verdict is cached)
+/// and a miss (a fresh cache, so the modexp runs). Both read the
+/// envelope's memoized body digest, so the hit cost does not grow with the
+/// body.
+fn bench_envelope_pair(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    label: &str,
+    verify_cached: impl Fn(&VerifyCache) -> bool,
+) {
+    let cache = VerifyCache::new();
+    assert!(verify_cached(&cache));
+    g.bench_function(format!("hit/{label}"), |b| {
+        b.iter(|| black_box(verify_cached(&cache)))
+    });
+    g.bench_function(format!("miss/{label}"), |b| {
+        b.iter(|| black_box(verify_cached(&VerifyCache::new())))
+    });
+}
+
+fn bench_envelope(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crypto/envelope");
+    let mut rng = StdRng::seed_from_u64(18);
+    let bits = rsa::DEFAULT_MODULUS_BITS;
+    let p1 = KeyPair::generate("P1", bits, &mut rng).unwrap();
+    let user = KeyPair::generate(USER_IDENTITY, bits, &mut rng).unwrap();
+    let reg = Registry::from_keypairs([&p1, &user]);
+    let bid = p1
+        .sign(BidBody {
+            processor: 0,
+            bid: 2.25,
+        })
+        .unwrap();
+    // A grant carrying 24 user-signed 32-byte blocks.
+    let blocks = DataSet::prepare(&user, 24, 32).unwrap().blocks().to_vec();
+    let grant = p1.sign(GrantBody { to: 1, blocks }).unwrap();
+    bench_envelope_pair(&mut g, "bid", |c| bid.verify_cached(&reg, c).is_ok());
+    bench_envelope_pair(&mut g, "grant24", |c| grant.verify_cached(&reg, c).is_ok());
+    g.finish();
+}
+
 fn bench_keygen(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto/keygen");
     g.sample_size(10);
@@ -58,5 +101,11 @@ fn bench_keygen(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sha256, bench_sign_verify, bench_keygen);
+criterion_group!(
+    benches,
+    bench_sha256,
+    bench_sign_verify,
+    bench_envelope,
+    bench_keygen
+);
 criterion_main!(benches);

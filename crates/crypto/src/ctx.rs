@@ -21,10 +21,14 @@
 //!   exact), so signature bytes are identical to the plain `pow_mod`
 //!   oracle's — the differential tests here and in `rsa` pin this down.
 //! * [`VerifyCache`] — a session-scoped memo of envelope-verification
-//!   verdicts keyed by a digest of (signer, body bytes, signature), so the
+//!   verdicts keyed by a digest of (signer, body digest, signature), so the
 //!   all-to-all broadcast verifies each envelope once instead of once per
-//!   receiver. Sound because verification is deterministic: the same bytes
-//!   under the same registry always yield the same verdict.
+//!   receiver. Sound because verification is deterministic: a verdict is a
+//!   modexp over exactly the body digest and signature bytes under the
+//!   signer's registered key, so the same triple under the same registry
+//!   always yields the same verdict. The body digest is the envelope's
+//!   memoized one ([`crate::pki::Signed::digest`]), so a lookup hashes ~100
+//!   bytes instead of re-encoding the body.
 
 use crate::sha256;
 use dls_num::{modmath, BigUint, ExpWindows, MontgomeryCtx};
@@ -156,18 +160,20 @@ fn sub_mod(a: &BigUint, b: &BigUint, p: &BigUint) -> BigUint {
     }
 }
 
-/// Cache key: a SHA-256 digest binding signer identity, canonical body
-/// bytes, and signature bytes (length-prefixed, so field boundaries cannot
-/// be confused).
+/// Cache key: a SHA-256 digest binding signer identity, the SHA-256 digest
+/// of the canonical body bytes, and signature bytes (the variable-length
+/// fields are length-prefixed, so field boundaries cannot be confused).
+/// The body digest is exactly what the signature is checked against, so
+/// the key determines the verdict.
 pub type VerdictKey = [u8; 32];
 
-/// Computes the [`VerdictKey`] for an envelope's constituent bytes.
-pub fn verdict_key(signer: &str, body_bytes: &[u8], signature: &[u8]) -> VerdictKey {
+/// Computes the [`VerdictKey`] for an envelope's signer, body digest and
+/// signature bytes.
+pub fn verdict_key(signer: &str, body_digest: &sha256::Digest, signature: &[u8]) -> VerdictKey {
     let mut h = sha256::Sha256::new();
     h.update(&(signer.len() as u64).to_be_bytes());
     h.update(signer.as_bytes());
-    h.update(&(body_bytes.len() as u64).to_be_bytes());
-    h.update(body_bytes);
+    h.update(body_digest);
     h.update(&(signature.len() as u64).to_be_bytes());
     h.update(signature);
     h.finalize()
@@ -300,19 +306,21 @@ mod tests {
 
     #[test]
     fn verdict_keys_separate_fields() {
-        // Moving a byte across a field boundary must change the key.
-        let a = verdict_key("P1", b"ab", b"c");
-        let b = verdict_key("P1", b"a", b"bc");
-        let c = verdict_key("P1a", b"b", b"c");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, verdict_key("P1", b"ab", b"c"));
+        // Changing any field, or moving a byte across the signer/signature
+        // boundary, must change the key.
+        let d = sha256::digest(b"body");
+        let a = verdict_key("P1", &d, b"c");
+        assert_ne!(a, verdict_key("P2", &d, b"c"));
+        assert_ne!(a, verdict_key("P1", &sha256::digest(b"bodY"), b"c"));
+        assert_ne!(a, verdict_key("P1", &d, b"d"));
+        assert_ne!(verdict_key("P1a", &d, b""), verdict_key("P1", &d, b"a"));
+        assert_eq!(a, verdict_key("P1", &d, b"c"));
     }
 
     #[test]
     fn cache_memoizes() {
         let cache = VerifyCache::new();
-        let k = verdict_key("P1", b"body", b"sig");
+        let k = verdict_key("P1", &sha256::digest(b"body"), b"sig");
         assert!(cache.is_empty());
         assert_eq!(cache.get(&k), None);
         cache.insert(k, true);
@@ -320,7 +328,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         // Clones share the same verdict map.
         let clone = cache.clone();
-        let k2 = verdict_key("P2", b"body", b"sig");
+        let k2 = verdict_key("P2", &sha256::digest(b"body"), b"sig");
         clone.insert(k2, false);
         assert_eq!(cache.get(&k2), Some(false));
         assert_eq!(cache.len(), 2);

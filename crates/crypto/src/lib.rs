@@ -20,7 +20,8 @@
 //!   type, so that signing a message is well-defined (`SIG_β(m)` in the
 //!   paper's notation needs canonical bytes for `m`).
 //! * [`pki`] — the registry mapping participant identities to public keys
-//!   plus the [`pki::Signed`] envelope (`S_β(m) = (m, SIG_β(m))`).
+//!   plus the [`pki::Signed`] envelope (`S_β(m) = (m, SIG_β(m))`), which
+//!   encodes and hashes its body once and memoizes the result.
 //! * [`ctx`] — per-key Montgomery contexts (built once at key generation,
 //!   reused for every modexp; signing runs through the CRT on the prime
 //!   factors) and the per-session verification cache that amortizes

@@ -16,12 +16,12 @@
 use crate::canon;
 use crate::ctx::{verdict_key, VerifyCache};
 use crate::rsa::{self, PublicKey, RawSignature, SecretKey};
-use crate::sha256::Digest;
+use crate::sha256::{self, Digest};
 use rand::Rng;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from signing or verifying envelopes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,14 +86,7 @@ impl KeyPair {
 
     /// Signs `body`, producing the `S_β(m)` envelope.
     pub fn sign<T: Serialize>(&self, body: T) -> Result<Signed<T>, SignatureError> {
-        let bytes =
-            canon::to_bytes(&body).map_err(|e| SignatureError::Encoding(e.to_string()))?;
-        let signature = self.secret.sign(&bytes);
-        Ok(Signed {
-            body,
-            signer: self.identity.clone(),
-            signature,
-        })
+        Signed::seal(body, self.identity.clone(), |digest| self.secret.sign_digest(digest))
     }
 
     /// Signs a precomputed SHA-256 digest of a body's canonical bytes — for
@@ -110,11 +103,51 @@ impl KeyPair {
 /// untrusted channel and receivers *must* call [`Signed::verify`] before
 /// acting — the protocol layer enforces this by only exposing verified
 /// bodies).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every envelope carries a lazily filled memo of its body's canonical
+/// encoded length and SHA-256 digest, so signing, every verification,
+/// the verdict-cache key and wire-size accounting share one encode and one
+/// hash per envelope object (clones share the filled memo). The memo is
+/// sound because it is a pure function of a body nobody can change: the
+/// fields are private, only this module fills the memo and only from the
+/// body itself, and [`Signed::forge`] and [`Signed::tamper`] start with an
+/// empty memo — no public API accepts or sets a digest. `Debug` and `==`
+/// ignore the memo. [`Signed::verify_naive`] bypasses it and re-encodes
+/// from scratch, as the oracle.
+#[derive(Clone)]
 pub struct Signed<T> {
     body: T,
     signer: String,
     signature: RawSignature,
+    /// `(canonical encoded length, SHA-256)` of `body`, filled on first use.
+    memo: OnceLock<(usize, Digest)>,
+}
+
+impl<T: fmt::Debug> fmt::Debug for Signed<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Exactly the derived form over the three message fields: outcome
+        // digests are hashes of `Debug` output.
+        f.debug_struct("Signed")
+            .field("body", &self.body)
+            .field("signer", &self.signer)
+            .field("signature", &self.signature)
+            .finish()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Signed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.body == other.body
+            && self.signer == other.signer
+            && self.signature == other.signature
+    }
+}
+
+impl<T: Eq> Eq for Signed<T> {}
+
+/// Canonical bytes of `body`, with the encoder's error mapped.
+fn encode<T: Serialize>(body: &T) -> Result<Vec<u8>, SignatureError> {
+    canon::to_bytes(body).map_err(|e| SignatureError::Encoding(e.to_string()))
 }
 
 // Envelopes are themselves serializable so they can be nested inside other
@@ -131,6 +164,50 @@ impl<T: Serialize> Serialize for Signed<T> {
 }
 
 impl<T: Serialize> Signed<T> {
+    /// Seals `body` under `signer`: encodes and hashes the body once, asks
+    /// `sign` for the signature over that digest, and returns the envelope
+    /// with its memo already filled. [`KeyPair::sign`] is `seal` with the
+    /// key pair's own `sign_digest`.
+    pub fn seal(
+        body: T,
+        signer: impl Into<String>,
+        sign: impl FnOnce(&Digest) -> RawSignature,
+    ) -> Result<Self, SignatureError> {
+        let bytes = encode(&body)?;
+        let memo = (bytes.len(), sha256::digest(&bytes));
+        let signature = sign(&memo.1);
+        Ok(Signed {
+            body,
+            signer: signer.into(),
+            signature,
+            memo: OnceLock::from(memo),
+        })
+    }
+
+    /// The memo, encoding and hashing the body on first use.
+    fn memo(&self) -> Result<&(usize, Digest), SignatureError> {
+        if let Some(memo) = self.memo.get() {
+            return Ok(memo);
+        }
+        let bytes = encode(&self.body)?;
+        // A concurrent first use computes the same pair from the same body,
+        // so whichever write lands is correct.
+        Ok(self
+            .memo
+            .get_or_init(|| (bytes.len(), sha256::digest(&bytes))))
+    }
+
+    /// SHA-256 of the body's canonical bytes — the digest the signature
+    /// covers. Computed once per envelope.
+    pub fn digest(&self) -> Result<&Digest, SignatureError> {
+        self.memo().map(|(_, digest)| digest)
+    }
+
+    /// Length of the body's canonical bytes. Computed once per envelope.
+    pub fn encoded_len(&self) -> Result<usize, SignatureError> {
+        self.memo().map(|&(len, _)| len)
+    }
+
     /// The claimed signer identity (unverified).
     pub fn signer(&self) -> &str {
         &self.signer
@@ -147,48 +224,15 @@ impl<T: Serialize> Signed<T> {
         &self.signature
     }
 
-    /// Verifies against the registry and returns the body on success.
-    pub fn verify<'a>(&'a self, registry: &Registry) -> Result<&'a T, SignatureError> {
-        let key = registry
+    /// The key registered for the claimed signer.
+    fn signer_key<'r>(&self, registry: &'r Registry) -> Result<&'r PublicKey, SignatureError> {
+        registry
             .lookup(&self.signer)
-            .ok_or_else(|| SignatureError::UnknownSigner(self.signer.clone()))?;
-        let bytes =
-            canon::to_bytes(&self.body).map_err(|e| SignatureError::Encoding(e.to_string()))?;
-        if key.verify(&bytes, &self.signature) {
-            Ok(&self.body)
-        } else {
-            Err(SignatureError::BadSignature {
-                signer: self.signer.clone(),
-            })
-        }
+            .ok_or_else(|| SignatureError::UnknownSigner(self.signer.clone()))
     }
 
-    /// Verifies against the registry, memoizing the verdict in `cache` so
-    /// later receivers of byte-identical envelopes skip the modexp.
-    ///
-    /// Returns exactly what [`Signed::verify`] would: verification is
-    /// deterministic (hash-then-modexp over fixed bytes under a fixed
-    /// registry), so sharing the verdict across receivers preserves every
-    /// accept/reject decision bit-for-bit.
-    pub fn verify_cached<'a>(
-        &'a self,
-        registry: &Registry,
-        cache: &VerifyCache,
-    ) -> Result<&'a T, SignatureError> {
-        let key = registry
-            .lookup(&self.signer)
-            .ok_or_else(|| SignatureError::UnknownSigner(self.signer.clone()))?;
-        let bytes =
-            canon::to_bytes(&self.body).map_err(|e| SignatureError::Encoding(e.to_string()))?;
-        let vk = verdict_key(&self.signer, &bytes, &self.signature.0);
-        let ok = match cache.get(&vk) {
-            Some(verdict) => verdict,
-            None => {
-                let verdict = key.verify(&bytes, &self.signature);
-                cache.insert(vk, verdict);
-                verdict
-            }
-        };
+    /// The body on a good verdict, `BadSignature` otherwise.
+    fn verdict(&self, ok: bool) -> Result<&T, SignatureError> {
         if ok {
             Ok(&self.body)
         } else {
@@ -198,23 +242,50 @@ impl<T: Serialize> Signed<T> {
         }
     }
 
+    /// Verifies against the registry and returns the body on success.
+    pub fn verify<'a>(&'a self, registry: &Registry) -> Result<&'a T, SignatureError> {
+        let key = self.signer_key(registry)?;
+        self.verdict(key.verify_digest(self.digest()?, &self.signature))
+    }
+
+    /// Verifies against the registry, memoizing the verdict in `cache` so
+    /// later receivers of byte-identical envelopes skip the modexp.
+    ///
+    /// Returns exactly what [`Signed::verify`] would: verification is
+    /// deterministic (a modexp over the body digest and signature under a
+    /// fixed registry), so sharing the verdict across receivers preserves
+    /// every accept/reject decision bit-for-bit. The cache key binds the
+    /// memoized body digest, so a hit costs one short hash, not an encode
+    /// of the body.
+    pub fn verify_cached<'a>(
+        &'a self,
+        registry: &Registry,
+        cache: &VerifyCache,
+    ) -> Result<&'a T, SignatureError> {
+        let key = self.signer_key(registry)?;
+        let digest = self.digest()?;
+        let vk = verdict_key(&self.signer, digest, &self.signature.0);
+        let ok = match cache.get(&vk) {
+            Some(verdict) => verdict,
+            None => {
+                let verdict = key.verify_digest(digest, &self.signature);
+                cache.insert(vk, verdict);
+                verdict
+            }
+        };
+        self.verdict(ok)
+    }
+
     /// Verifies via the plain `pow_mod` reference path (no Montgomery
-    /// context, no memoization): the honest per-receiver cost model used
-    /// as the benchmark baseline. Verdicts are identical to
-    /// [`Signed::verify`]'s — only the arithmetic route differs.
+    /// context, no memoization: the body is re-encoded and re-hashed from
+    /// scratch, ignoring the envelope's memo) — the honest per-receiver
+    /// cost model used as the benchmark baseline and the oracle for the
+    /// memo. Verdicts are identical to [`Signed::verify`]'s; only the route
+    /// differs.
     pub fn verify_naive<'a>(&'a self, registry: &Registry) -> Result<&'a T, SignatureError> {
-        let key = registry
-            .lookup(&self.signer)
-            .ok_or_else(|| SignatureError::UnknownSigner(self.signer.clone()))?;
-        let bytes =
-            canon::to_bytes(&self.body).map_err(|e| SignatureError::Encoding(e.to_string()))?;
-        if key.verify_naive(&bytes, &self.signature) {
-            Ok(&self.body)
-        } else {
-            Err(SignatureError::BadSignature {
-                signer: self.signer.clone(),
-            })
-        }
+        let key = self.signer_key(registry)?;
+        let bytes = encode(&self.body)?;
+        self.verdict(key.verify_naive(&bytes, &self.signature))
     }
 
     /// Consumes the envelope, returning the verified body.
@@ -231,6 +302,7 @@ impl<T: Serialize> Signed<T> {
             body,
             signer: signer.into(),
             signature: RawSignature(signature),
+            memo: OnceLock::new(),
         }
     }
 
@@ -241,6 +313,7 @@ impl<T: Serialize> Signed<T> {
             body: f(self.body),
             signer: self.signer,
             signature: self.signature,
+            memo: OnceLock::new(),
         }
     }
 }
@@ -495,6 +568,108 @@ mod tests {
         let digest = crate::sha256::digest(&canon::to_bytes(&body).unwrap());
         let signed = kp1.sign(body).unwrap();
         assert_eq!(&kp1.sign_digest(&digest), signed.signature());
+    }
+
+    /// From-scratch `(encoded length, digest)` of a body — the memo's oracle.
+    fn scratch_summary<T: Serialize>(body: &T) -> (usize, Digest) {
+        let bytes = canon::to_bytes(body).unwrap();
+        (bytes.len(), crate::sha256::digest(&bytes))
+    }
+
+    fn assert_memo_matches_body<T: Serialize>(env: &Signed<T>) {
+        let (len, digest) = scratch_summary(env.body_unverified());
+        assert_eq!(env.digest().unwrap(), &digest);
+        assert_eq!(env.encoded_len().unwrap(), len);
+    }
+
+    #[test]
+    fn memo_matches_a_from_scratch_encode_for_every_constructor() {
+        let (kp1, _, _) = setup();
+        let bid = |w| Bid {
+            processor: "P1".into(),
+            w,
+        };
+        let signed = kp1.sign(bid(1.5)).unwrap();
+        let sealed = Signed::seal(bid(2.5), "P1", |d| kp1.sign_digest(d)).unwrap();
+        let forged = Signed::forge(bid(3.5), "P1", vec![0xab; 48]);
+        let tampered = kp1.sign(bid(4.5)).unwrap().tamper(|mut b| {
+            b.w = 5.5;
+            b
+        });
+        let retyped = kp1.sign(bid(6.5)).unwrap().tamper(|b| (b.processor, b.w));
+        assert_memo_matches_body(&signed);
+        assert_memo_matches_body(&sealed);
+        assert_memo_matches_body(&forged);
+        assert_memo_matches_body(&tampered);
+        assert_memo_matches_body(&retyped);
+        // A nested body: the outer memo covers the inner envelopes' full
+        // encoding, signatures included.
+        let nested = kp1.sign(vec![signed.clone(), forged.clone()]).unwrap();
+        assert_memo_matches_body(&nested);
+    }
+
+    #[test]
+    fn memo_is_invisible_to_debug_and_eq() {
+        let (kp1, _, _) = setup();
+        let body = Bid {
+            processor: "P1".into(),
+            w: 1.5,
+        };
+        let filled = kp1.sign(body.clone()).unwrap();
+        let empty = Signed::forge(body, "P1", filled.signature().0.clone());
+        assert!(filled.memo.get().is_some());
+        assert!(empty.memo.get().is_none());
+        assert_eq!(format!("{filled:?}"), format!("{empty:?}"));
+        assert_eq!(format!("{filled:#?}"), format!("{empty:#?}"));
+        assert_eq!(filled, empty);
+        // The derived form the outcome digests were frozen from.
+        assert!(format!("{empty:?}").starts_with("Signed { body: Bid { processor: \"P1\""));
+        // Filling the empty memo changes neither.
+        empty.digest().unwrap();
+        assert_eq!(format!("{filled:?}"), format!("{empty:?}"));
+        assert_eq!(filled, empty);
+    }
+
+    #[test]
+    fn clones_carry_a_consistent_memo() {
+        let (kp1, _, _) = setup();
+        let body = Bid {
+            processor: "P1".into(),
+            w: 1.5,
+        };
+        let signed = kp1.sign(body.clone()).unwrap();
+        let clone = signed.clone();
+        assert_eq!(clone.memo.get(), signed.memo.get());
+        assert_memo_matches_body(&clone);
+        // A clone of an unfilled envelope fills its own memo identically.
+        let forged = Signed::forge(body, "P1", vec![1; 48]);
+        let forged_clone = forged.clone();
+        assert_memo_matches_body(&forged_clone);
+        assert!(forged.memo.get().is_none());
+        assert_memo_matches_body(&forged);
+    }
+
+    #[test]
+    fn identity_tamper_verifies_and_a_changing_tamper_does_not() {
+        let (kp1, _, reg) = setup();
+        let cache = VerifyCache::new();
+        let signed = kp1
+            .sign(Bid {
+                processor: "P1".into(),
+                w: 1.5,
+            })
+            .unwrap();
+        let same = signed.clone().tamper(|b| b);
+        assert!(same.memo.get().is_none());
+        assert!(same.verify(&reg).is_ok());
+        assert!(same.verify_cached(&reg, &cache).is_ok());
+        let changed = signed.tamper(|mut b| {
+            b.w = 1.25;
+            b
+        });
+        assert!(changed.verify(&reg).is_err());
+        assert!(changed.verify_cached(&reg, &cache).is_err());
+        assert!(changed.verify_naive(&reg).is_err());
     }
 
     #[test]

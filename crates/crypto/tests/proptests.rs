@@ -14,10 +14,12 @@
 use dls_crypto::canon;
 use dls_crypto::pki::{is_equivocation, KeyPair, Registry};
 use dls_crypto::rsa::{self, PublicKey, SecretKey};
+use dls_crypto::{Signed, VerifyCache};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::fmt::Debug;
 use std::sync::OnceLock;
 
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -142,6 +144,80 @@ proptest! {
         } else {
             prop_assert_eq!(bp, bq);
         }
+    }
+}
+
+/// Verifies every envelope through the shared `cache` and checks the
+/// cached and memoized paths against the from-scratch `verify_naive`.
+fn check_against_naive<T: Serialize + PartialEq + Debug>(
+    envs: &[Signed<T>],
+    reg: &Registry,
+    cache: &VerifyCache,
+) -> Result<(), TestCaseError> {
+    for env in envs {
+        let naive = env.verify_naive(reg);
+        prop_assert_eq!(env.verify_cached(reg, cache), naive.clone());
+        prop_assert_eq!(env.verify(reg), naive);
+    }
+    Ok(())
+}
+
+/// The envelope with its signer relabeled, over the same body and
+/// signature bytes.
+fn swap_signer<T: Serialize + Clone>(env: &Signed<T>, signer: &str) -> Signed<T> {
+    Signed::forge(env.body_unverified().clone(), signer, env.signature().0.clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The verdict cache keyed on the memoized body digest returns exactly
+    /// the oracle's verdicts, on misses and on hits, for honest, tampered,
+    /// forged, signer-swapped, cross-signer and nested envelopes.
+    #[test]
+    fn verify_cache_matches_naive_oracle(p in arb_payload(), q in arb_payload(), delta in 1u32..1000) {
+        let (a, b, reg) = fixtures();
+        let cache = VerifyCache::new();
+        let honest = a.sign(p.clone()).unwrap();
+        let flat = vec![
+            honest.clone(),
+            b.sign(q.clone()).unwrap(),
+            honest.clone().tamper(|mut x| { x.round = x.round.wrapping_add(delta); x }),
+            Signed::forge(p.clone(), "A", vec![0x5a; 48]),
+            swap_signer(&honest, "B"),
+            // B's genuine signature over p, claimed as A's.
+            swap_signer(&b.sign(p.clone()).unwrap(), "A"),
+            swap_signer(&honest, "C"),
+        ];
+        // A grant-like body: an envelope whose body holds signed envelopes.
+        let nested = a.sign(flat[..4].to_vec()).unwrap();
+        let nested_envs = vec![
+            nested.clone(),
+            nested.clone().tamper(|mut blocks| { blocks.pop(); blocks }),
+            swap_signer(&nested, "B"),
+            Signed::forge(nested.body_unverified().clone(), "A", b.sign(q).unwrap().signature().0.clone()),
+        ];
+        for _ in 0..2 {
+            check_against_naive(&flat, reg, &cache)?;
+            check_against_naive(&nested_envs, reg, &cache)?;
+        }
+        // A signer swap over the same body and signature is a miss with its
+        // own verdict, never a hit on the genuine signer's.
+        let fresh = VerifyCache::new();
+        for genuine_first in [true, false] {
+            let cache = VerifyCache::new();
+            let (first, second) = if genuine_first {
+                (&flat[0], &flat[4])
+            } else {
+                (&flat[4], &flat[0])
+            };
+            let _ = first.verify_cached(reg, &cache);
+            prop_assert_eq!(second.verify_cached(reg, &cache), second.verify_naive(reg));
+            prop_assert_eq!(cache.len(), 2);
+        }
+        let _ = nested.verify_cached(reg, &fresh);
+        prop_assert!(nested_envs[2].verify_cached(reg, &fresh).is_err());
+        prop_assert_eq!(fresh.len(), 2);
     }
 }
 

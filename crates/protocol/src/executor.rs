@@ -65,7 +65,8 @@ use crate::blocks::{integer_allocation, DataSet, SignedBlock, USER_IDENTITY};
 use crate::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
 use crate::fault::{FaultKind, FaultPlan, LivenessFault};
 use crate::messages::{
-    BidBody, Evidence, GrantBody, Msg, PaymentEntry, PaymentVectorBody, PhaseReport, Verdict,
+    is_processor_identity, BidBody, Evidence, GrantBody, Msg, PaymentEntry, PaymentVectorBody,
+    PhaseReport, Verdict,
 };
 use crate::referee::{Phase, Referee};
 use crate::runtime::{
@@ -75,6 +76,7 @@ use crate::runtime::{
 };
 use crate::sched::{resolve_barrier, EventQueue, VirtualClock};
 use dls_crypto::pki::{KeyPair, Registry};
+use dls_crypto::rsa::RawSignature;
 use dls_crypto::{Signed, VerifyCache};
 use dls_dlt::BusParams;
 use parking_lot::Mutex;
@@ -127,38 +129,37 @@ pub(crate) fn dataset_cached(
 /// a fixed exponent — no randomized padding — so the signature over a given
 /// canonical body under a given key is a pure function. The cache maps
 /// `(identity, key_bits, seed, sha256(canonical body))` to the raw
-/// signature bytes. The body is encoded and hashed once: a miss signs that
-/// digest, and both hit and miss build the envelope via [`Signed::forge`]
-/// with the *genuine* bytes, which is bit-identical to [`KeyPair::sign`]
-/// and verifies like any honestly signed message.
+/// signature. [`Signed::seal`] encodes and hashes the body once and hands
+/// the digest to the lookup; a miss signs that digest. Both paths yield
+/// an envelope bit-identical to [`KeyPair::sign`]'s, with its memo filled.
 fn sign_cached<T: Serialize>(
     key: &KeyPair,
     key_bits: usize,
     seed: u64,
     body: T,
 ) -> Result<Signed<T>, RunError> {
-    type SigCache = BTreeMap<(String, usize, u64, [u8; 32]), Vec<u8>>;
+    type SigCache = BTreeMap<(String, usize, u64, [u8; 32]), RawSignature>;
     static SIGS: Mutex<Option<SigCache>> = Mutex::new(None);
 
-    let bytes =
-        dls_crypto::canon::to_bytes(&body).map_err(|e| RunError::Crypto(e.to_string()))?;
-    let digest = dls_crypto::sha256::digest(&bytes);
-    let cache_key = (key.identity().to_string(), key_bits, seed, digest);
-    if let Some(sig) = SIGS
-        .lock()
-        .get_or_insert_with(SigCache::new)
-        .get(&cache_key)
-    {
-        return Ok(Signed::forge(body, key.identity().to_string(), sig.clone()));
-    }
-    let sig = key.sign_digest(&digest).0;
-    let mut guard = SIGS.lock();
-    let cache = guard.get_or_insert_with(SigCache::new);
-    if cache.len() >= SIG_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(cache_key, sig.clone());
-    Ok(Signed::forge(body, key.identity().to_string(), sig))
+    Signed::seal(body, key.identity(), |digest| {
+        let cache_key = (key.identity().to_string(), key_bits, seed, *digest);
+        if let Some(sig) = SIGS
+            .lock()
+            .get_or_insert_with(SigCache::new)
+            .get(&cache_key)
+        {
+            return sig.clone();
+        }
+        let sig = key.sign_digest(digest);
+        let mut guard = SIGS.lock();
+        let cache = guard.get_or_insert_with(SigCache::new);
+        if cache.len() >= SIG_CACHE_CAP {
+            cache.clear();
+        }
+        cache.insert(cache_key, sig.clone());
+        sig
+    })
+    .map_err(|e| RunError::Crypto(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +666,7 @@ fn collect_bids(
             continue; // failed verification: discarded (§4)
         };
         let sender = body.processor;
-        if signed.signer() != format!("P{}", sender + 1) {
+        if !is_processor_identity(signed.signer(), sender) {
             continue;
         }
         if !(body.bid.is_finite() && body.bid > 0.0) {
@@ -1186,7 +1187,7 @@ pub(crate) fn drive_round(
     let mut delivered = BTreeSet::new();
     for sv in &vectors {
         if let Ok(body) = verify_profiled(sv, referee.registry(), &verify_cache, profile) {
-            if sv.signer() == format!("P{}", body.processor + 1) && body.processor < m {
+            if is_processor_identity(sv.signer(), body.processor) && body.processor < m {
                 delivered.insert(body.processor);
             }
         }

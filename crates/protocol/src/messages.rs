@@ -141,15 +141,13 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Rough wire size in bytes: canonical body bytes + signature, or a
-    /// fixed overhead for unsigned control messages. Used by the
+    /// Rough wire size in bytes: canonical body bytes (each envelope's
+    /// memoized encoded length) + signature, or a fixed overhead for
+    /// unsigned control messages. Used by the
     /// communication-complexity accounting (Theorem 5.4).
     pub fn wire_size(&self) -> usize {
         fn signed_size<T: Serialize>(s: &Signed<T>) -> usize {
-            dls_crypto::canon::to_bytes(s.body_unverified())
-                .map(|b| b.len())
-                .unwrap_or(0)
-                + s.signature().0.len()
+            s.encoded_len().unwrap_or(0) + s.signature().0.len()
         }
         match self {
             Msg::Bid(s) => signed_size(s),
@@ -194,6 +192,32 @@ impl Msg {
             Msg::Garbage { .. } => MsgCategory::Control,
         }
     }
+}
+
+/// `true` iff `signer` is processor `i`'s registered identity, `P{i+1}` —
+/// exactly the strings `signer == format!("P{}", i + 1)` accepts, without
+/// allocating. `i + 1` is compared in `u128`, so `usize::MAX` has an
+/// identity (`P18446744073709551616` on 64-bit targets) instead of
+/// overflowing.
+pub fn is_processor_identity(signer: &str, i: usize) -> bool {
+    let Some(digits) = signer.strip_prefix('P') else {
+        return false;
+    };
+    // No sign, no leading zero, nothing but ASCII digits.
+    if digits.is_empty() || digits.starts_with('0') {
+        return false;
+    }
+    let mut value: u128 = 0;
+    for c in digits.chars() {
+        let Some(next) = c
+            .to_digit(10)
+            .and_then(|d| value.checked_mul(10)?.checked_add(u128::from(d)))
+        else {
+            return false;
+        };
+        value = next;
+    }
+    u128::try_from(i).is_ok_and(|i| i.checked_add(1) == Some(value))
 }
 
 /// Coarse message classes used by experiment E10.
@@ -259,6 +283,138 @@ mod tests {
         assert!(meters.wire_size() > 0);
         let big = Msg::Meters(vec![1.0; 64]);
         assert!(big.wire_size() > meters.wire_size());
+    }
+
+    #[test]
+    fn processor_identity_matches_the_formatted_name() {
+        let formatted = |signer: &str, i: usize| signer == format!("P{}", i + 1);
+        let cases: [(&str, usize); 12] = [
+            ("P1", 0),
+            ("P01", 0),
+            ("p1", 0),
+            ("P1 ", 0),
+            (" P1", 0),
+            ("P+1", 0),
+            ("P10", 0),
+            ("P10", 9),
+            ("P2", 0),
+            ("", 0),
+            ("P", 0),
+            ("P0", 0),
+        ];
+        for (signer, i) in cases {
+            assert_eq!(is_processor_identity(signer, i), formatted(signer, i), "{signer:?} vs {i}");
+        }
+        assert!(is_processor_identity("P1", 0));
+        assert!(is_processor_identity("P10", 9));
+        assert!(!is_processor_identity("P10", 0));
+        assert!(!is_processor_identity("P01", 0));
+        // `usize::MAX + 1` has a name and nothing shorter or wrapped
+        // matches it.
+        let max_name = format!("P{}", u128::from(u64::MAX) + 1);
+        assert_eq!(is_processor_identity(&max_name, usize::MAX), usize::BITS == 64);
+        assert!(!is_processor_identity("P0", usize::MAX));
+        assert!(!is_processor_identity(&format!("P{}", usize::MAX), usize::MAX));
+        // Digit strings beyond u128 are rejected, not wrapped.
+        assert!(!is_processor_identity(&format!("P{}0", u128::MAX), 0));
+    }
+
+    /// From-scratch wire size of one envelope: canonical body bytes plus
+    /// signature bytes.
+    fn scratch_size<T: Serialize>(s: &Signed<T>) -> usize {
+        dls_crypto::canon::to_bytes(s.body_unverified())
+            .expect("encodable body")
+            .len()
+            + s.signature().0.len()
+    }
+
+    #[test]
+    fn wire_size_matches_a_from_scratch_encode_for_every_signed_variant() {
+        use crate::blocks::{DataSet, USER_IDENTITY};
+        use dls_crypto::pki::KeyPair;
+        use dls_crypto::rsa::MIN_MODULUS_BITS;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let p1 = KeyPair::generate("P1", MIN_MODULUS_BITS, &mut rng).expect("key");
+        let p2 = KeyPair::generate("P2", MIN_MODULUS_BITS, &mut rng).expect("key");
+        let user = KeyPair::generate(USER_IDENTITY, MIN_MODULUS_BITS, &mut rng).expect("key");
+        let data = DataSet::prepare(&user, 5, 32).expect("data set");
+        let bid = |k: &KeyPair, processor, bid| k.sign(BidBody { processor, bid }).expect("sign");
+        let (b1, b2) = (bid(&p1, 0, 1.5), bid(&p2, 1, 2.25));
+        // Forged and tampered envelopes start with an empty memo.
+        let forged = Signed::forge(BidBody { processor: 0, bid: 9.0 }, "P1", vec![7; 40]);
+        let tampered = b1.clone().tamper(|mut b| {
+            b.bid = 0.5;
+            b
+        });
+        let view = vec![b1.clone(), b2.clone(), forged.clone(), tampered.clone()];
+        let grant = p1
+            .sign(GrantBody {
+                to: 1,
+                blocks: data.blocks().to_vec(),
+            })
+            .expect("sign");
+        let vector = p2
+            .sign(PaymentVectorBody {
+                processor: 1,
+                q: vec![
+                    PaymentEntry {
+                        compensation: 1.0,
+                        bonus: 0.25,
+                    };
+                    3
+                ],
+            })
+            .expect("sign");
+        let view_size: usize = view.iter().map(scratch_size).sum();
+        let cases = [
+            (Msg::Bid(b1.clone()), scratch_size(&b1)),
+            (Msg::Bid(forged.clone()), scratch_size(&forged)),
+            (Msg::Bid(tampered.clone()), scratch_size(&tampered)),
+            (Msg::Grant(grant.clone()), scratch_size(&grant)),
+            (Msg::PaymentVector(vector.clone()), scratch_size(&vector)),
+            (
+                Msg::BidView {
+                    from: 1,
+                    view: view.clone(),
+                },
+                8 + view_size,
+            ),
+            (
+                Msg::Report {
+                    from: 1,
+                    report: PhaseReport::Accuse {
+                        accused: 0,
+                        evidence: Evidence::Equivocation {
+                            first: b1.clone(),
+                            second: forged.clone(),
+                        },
+                    },
+                },
+                16 + scratch_size(&b1) + scratch_size(&forged),
+            ),
+            (
+                Msg::Report {
+                    from: 1,
+                    report: PhaseReport::Accuse {
+                        accused: 0,
+                        evidence: Evidence::WrongAllocation {
+                            grant: grant.clone(),
+                            bid_view: view,
+                            expected_blocks: 2,
+                        },
+                    },
+                },
+                16 + scratch_size(&grant) + view_size,
+            ),
+        ];
+        for (msg, expected) in &cases {
+            // Twice: the first call may fill memos, the second reads them.
+            assert_eq!(msg.wire_size(), *expected, "{:?}", msg.category());
+            assert_eq!(msg.wire_size(), *expected, "{:?}", msg.category());
+        }
     }
 
     #[test]

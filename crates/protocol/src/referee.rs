@@ -9,7 +9,7 @@
 
 use crate::blocks::DataSet;
 use crate::messages::{
-    BidBody, Evidence, PaymentEntry, PaymentVectorBody, PhaseReport, Verdict,
+    is_processor_identity, BidBody, Evidence, PaymentEntry, PaymentVectorBody, PhaseReport, Verdict,
 };
 use dls_crypto::pki::{is_equivocation, Registry};
 use dls_crypto::Signed;
@@ -166,7 +166,7 @@ impl Referee {
             };
             match evidence {
                 Evidence::Equivocation { first, second } => {
-                    let substantiated = first.signer() == format!("P{}", accused + 1)
+                    let substantiated = is_processor_identity(first.signer(), *accused)
                         && is_equivocation(first, second, &self.registry);
                     if substantiated {
                         deviants.insert(*accused);
@@ -246,7 +246,7 @@ impl Referee {
             let Ok(body) = signed_bid.verify(&self.registry) else {
                 return ClaimJudgement::Unfounded;
             };
-            if signed_bid.signer() != format!("P{}", body.processor + 1) {
+            if !is_processor_identity(signed_bid.signer(), body.processor) {
                 return ClaimJudgement::Unfounded;
             }
             // Out-of-range processor indices and duplicate bids both make
@@ -260,7 +260,7 @@ impl Referee {
         let Ok(grant_body) = grant.verify(&self.registry) else {
             return ClaimJudgement::Unfounded;
         };
-        if grant.signer() != format!("P{}", accused + 1) || grant_body.to != reporter {
+        if !is_processor_identity(grant.signer(), accused) || grant_body.to != reporter {
             return ClaimJudgement::Unfounded;
         }
         // Recompute the allocation the originator should have sent.
@@ -333,7 +333,7 @@ impl Referee {
             let Ok(body) = sv.verify(&self.registry) else {
                 continue; // unverifiable vectors are ignored; absence fines below
             };
-            if sv.signer() != format!("P{}", body.processor + 1) {
+            if !is_processor_identity(sv.signer(), body.processor) {
                 continue;
             }
             let Some(prev) = seen.get_mut(body.processor) else {

@@ -34,7 +34,9 @@
 use crate::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
 use crate::fault::{DegradationReport, FaultPlan, LivenessFault};
 use crate::ledger::{Account, Ledger, TransferReason};
-use crate::messages::{BidBody, Msg, MsgCategory, PaymentEntry, PaymentVectorBody, Verdict};
+use crate::messages::{
+    is_processor_identity, BidBody, Msg, MsgCategory, PaymentEntry, PaymentVectorBody, Verdict,
+};
 use crate::referee::{Phase, Referee};
 use dls_crypto::pki::{KeyPair, Registry, SignatureError};
 use dls_crypto::{Signed, VerifyCache};
@@ -887,7 +889,7 @@ pub(crate) fn verify_bid_view(
     let mut bids = vec![f64::NAN; m];
     for sb in view {
         let body = verify_profiled(sb, referee.registry(), cache, profile).ok()?;
-        if sb.signer() != format!("P{}", body.processor + 1) {
+        if !is_processor_identity(sb.signer(), body.processor) {
             return None;
         }
         // Only finite positive rates form valid bus parameters; a view

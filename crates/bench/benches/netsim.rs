@@ -1,10 +1,10 @@
-//! Discrete-event simulator benchmarks: schedule execution across system
-//! sizes, plus the raw event-queue kernel.
+//! Bus-timeline benchmarks: single-load schedule execution across system
+//! sizes, plus the multi-load pipeline on the same kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dls_bench::workloads::heterogeneous_rates;
-use dls_netsim::engine::EventQueue;
 use dls_netsim::{simulate, SessionSpec};
+use dls_dlt::multiload::{pipeline_schedule_exact, InstallmentScheduler, LoadSpec};
 use dls_dlt::{optimal, BusParams, SystemModel};
 use std::hint::black_box;
 
@@ -22,27 +22,30 @@ fn bench_simulate(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("netsim/event_queue");
-    for &n in &[1_000usize, 100_000] {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let mut q = EventQueue::new();
-                // Interleaved schedule/pop churn.
-                for i in 0..n {
-                    q.schedule(((i * 7919) % n) as f64 + q.now(), i);
-                    if i % 3 == 0 {
-                        black_box(q.pop());
-                    }
-                }
-                while let Some(e) = q.pop() {
-                    black_box(e);
-                }
-            })
-        });
-    }
+/// The shared bus kernel through `pipeline_schedule`: the f64 shape of a
+/// multi-load re-quote (NCP-FE, m = 1024, k = 8) and the exact-rational
+/// certificate at m = 16, k = 4.
+fn bench_pipeline_schedule(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dlt/pipeline_schedule");
+    let loads = |k: usize| -> Vec<LoadSpec> {
+        (0..k)
+            .map(|l| LoadSpec::new(1.0 + 0.5 * l as f64, 0.0625 * (1 + l % 4) as f64 / 2.0))
+            .collect()
+    };
+    let w = heterogeneous_rates(1024, 1.0, 8.0, 21);
+    let sched = InstallmentScheduler::new(SystemModel::NcpFe, &w, &loads(8)).unwrap();
+    g.bench_function("f64/ncp-fe/m1024/k8", |b| b.iter(|| black_box(sched.schedule())));
+    // Rates on a 1/16 grid keep the exact solver's rationals short.
+    let w: Vec<f64> = heterogeneous_rates(16, 1.0, 8.0, 21)
+        .iter()
+        .map(|x| (x * 16.0).round() / 16.0)
+        .collect();
+    let loads = loads(4);
+    g.bench_function("exact/ncp-fe/m16/k4", |b| {
+        b.iter(|| black_box(pipeline_schedule_exact(SystemModel::NcpFe, &w, &loads).unwrap()))
+    });
     g.finish();
 }
 
-criterion_group!(benches, bench_simulate, bench_event_queue);
+criterion_group!(benches, bench_simulate, bench_pipeline_schedule);
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 //! | [`crypto`] | SHA-256, RSA-style signatures, PKI | §4 assumptions |
 //! | [`dlt`] | bus models + optimal allocations | §2 |
 //! | [`mechanism`] | DLS-BL compensation-and-bonus payments | §3 |
-//! | [`netsim`] | discrete-event bus executor + Gantt | Figures 1–3 |
+//! | [`netsim`] | bus schedule executor + Gantt | Figures 1–3 |
 //! | [`protocol`] | DLS-BL-NCP with referee, fines, finking | §4–5 |
 //!
 //! ## Quickstart

@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bus;
 pub mod chain;
 pub mod diagnostics;
 pub mod exact;

@@ -215,7 +215,7 @@ impl BusParams {
 /// communication prefix therefore starts at `j = 2`. The same closed form
 /// (Algorithm 2.1) solves both readings because only *differences* of
 /// consecutive finish times constrain the optimum; we implement the
-/// figure-accurate timing so the discrete-event simulator and the closed
+/// figure-accurate timing so the bus simulator and the closed
 /// form agree exactly.
 ///
 /// # Panics

@@ -24,8 +24,8 @@
 //!   the closed-form equal-finish optimum (Theorem 2.1, per-load); the
 //!   *pipelined* k-load makespan has no closed form — it is the fixpoint
 //!   of a max-recurrence over bus and processor availability — so the
-//!   timeline is evaluated by the O(k·m) recurrence below, and
-//!   [`pipeline_schedule_exact`] replays the identical recurrence over
+//!   timeline is evaluated by the O(k·m) [`BusClock`] recurrence, and
+//!   [`pipeline_schedule_exact`] runs that same generic recurrence over
 //!   exact rationals (`dls_num::Rational`) as the certification /
 //!   adjudication fallback.
 //!
@@ -60,6 +60,7 @@
 //! public entry point validates its inputs and reports
 //! [`MultiLoadError`] instead of panicking.
 
+use crate::bus::BusClock;
 use crate::chain::ChainState;
 use crate::model::{BusParams, ParamError, SystemModel};
 use crate::{exact, optimal};
@@ -330,14 +331,19 @@ impl InstallmentScheduler {
     /// load `j`'s computation, subject to the one-port bus and the
     /// per-model originator constraints.
     pub fn schedule(&self) -> PipelineSchedule {
-        let m = self.m();
-        let mut alpha = Vec::with_capacity(m);
-        let mut timeline = Timeline::new(self.model, self.bids().to_vec());
+        let mut alpha = Vec::with_capacity(self.m());
+        let mut clock = BusClock::new(self.bids().to_vec());
+        let mut load_finish = Vec::with_capacity(self.k());
         for (spec, chain) in self.loads.iter().zip(&self.chains) {
             chain.fractions_into(&mut alpha);
-            timeline.push_load(spec, &alpha);
+            load_finish.push(clock.push_load(self.model, &spec.size, &spec.z, &alpha, &mut ()));
         }
-        timeline.finish(self.sequential_makespan())
+        PipelineSchedule {
+            load_finish,
+            makespan: *clock.makespan(),
+            sequential_makespan: self.sequential_makespan(),
+            bus_busy: *clock.bus_busy(),
+        }
     }
 }
 
@@ -369,114 +375,6 @@ impl PipelineSchedule {
     }
 }
 
-/// The f64 pipelined-timeline recurrence, shared by
-/// [`InstallmentScheduler::schedule`] and [`pipeline_schedule`].
-struct Timeline {
-    model: SystemModel,
-    w: Vec<f64>,
-    bus_free: f64,
-    proc_free: Vec<f64>,
-    bus_busy: f64,
-    load_finish: Vec<f64>,
-}
-
-impl Timeline {
-    fn new(model: SystemModel, w: Vec<f64>) -> Self {
-        let m = w.len();
-        Timeline {
-            model,
-            w,
-            bus_free: 0.0,
-            proc_free: vec![0.0; m],
-            bus_busy: 0.0,
-            load_finish: Vec::new(),
-        }
-    }
-
-    /// One-port transfer of `volume` units to processor `i`, then its
-    /// computation as soon as data and the processor are both free.
-    /// Returns the compute end.
-    fn send_and_compute(&mut self, i: usize, volume: f64, z: f64) -> f64 {
-        let (w_i, free) = match (self.w.get(i), self.proc_free.get(i)) {
-            (Some(&w_i), Some(&free)) => (w_i, free),
-            _ => return self.bus_free,
-        };
-        let t_end = self.bus_free + volume * z;
-        self.bus_busy += volume * z;
-        self.bus_free = t_end;
-        let c_end = t_end.max(free) + volume * w_i;
-        if let Some(slot) = self.proc_free.get_mut(i) {
-            *slot = c_end;
-        }
-        c_end
-    }
-
-    /// Local computation of `volume` units on processor `i` starting as
-    /// soon as `ready` and the processor allow. Returns the compute end.
-    fn compute(&mut self, i: usize, volume: f64, ready: f64) -> f64 {
-        let (w_i, free) = match (self.w.get(i), self.proc_free.get(i)) {
-            (Some(&w_i), Some(&free)) => (w_i, free),
-            _ => return ready,
-        };
-        let c_end = ready.max(free) + volume * w_i;
-        if let Some(slot) = self.proc_free.get_mut(i) {
-            *slot = c_end;
-        }
-        c_end
-    }
-
-    fn push_load(&mut self, spec: &LoadSpec, alpha: &[f64]) {
-        let m = self.w.len();
-        let s = spec.size;
-        let z = spec.z;
-        let mut finish = f64::NEG_INFINITY;
-        match self.model {
-            SystemModel::Cp => {
-                for (i, &a) in alpha.iter().enumerate().take(m) {
-                    finish = finish.max(self.send_and_compute(i, s * a, z));
-                }
-            }
-            SystemModel::NcpFe => {
-                // Front-end originator: computes its own fraction from
-                // local data (no bus), overlapping its sends.
-                finish = finish.max(self.compute(0, s * alpha.first().copied().unwrap_or(0.0), 0.0));
-                for (i, &a) in alpha.iter().enumerate().take(m).skip(1) {
-                    finish = finish.max(self.send_and_compute(i, s * a, z));
-                }
-            }
-            SystemModel::NcpNfe => {
-                let o = m.saturating_sub(1);
-                // No front end: the originator drives the bus, so the
-                // next load's sends wait for its current computation...
-                self.bus_free = self.bus_free.max(self.proc_free.get(o).copied().unwrap_or(0.0));
-                for (i, &a) in alpha.iter().enumerate().take(o) {
-                    finish = finish.max(self.send_and_compute(i, s * a, z));
-                }
-                // ...and its own fraction computes only after this
-                // load's sends are done (Eq. 3, per load).
-                let a_o = alpha.get(o).copied().unwrap_or(0.0);
-                finish = finish.max(self.compute(o, s * a_o, self.bus_free));
-            }
-        }
-        self.load_finish.push(finish);
-    }
-
-    fn finish(self, sequential_makespan: f64) -> PipelineSchedule {
-        let makespan = self
-            .load_finish
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .max(0.0);
-        PipelineSchedule {
-            load_finish: self.load_finish,
-            makespan,
-            sequential_makespan,
-            bus_busy: self.bus_busy,
-        }
-    }
-}
-
 /// Pipelined timeline of `loads` on the shared bus under bid vector
 /// `bids`, each load allocated by its closed-form equal-finish optimum.
 /// Convenience over [`InstallmentScheduler::schedule`] for one-shot use.
@@ -489,8 +387,8 @@ pub fn pipeline_schedule(
 }
 
 /// Exact-rational pipelined timeline: re-derives every per-load
-/// allocation with the exact solver ([`crate::exact::fractions`]) and
-/// replays the same recurrence as [`pipeline_schedule`] over
+/// allocation with the exact solver ([`crate::exact::fractions`]) and runs
+/// the same [`BusClock`] recurrence as [`pipeline_schedule`] over
 /// [`Rational`] — zero rounding anywhere. This is the fallback /
 /// certification path: the pipelined k-load makespan has no closed
 /// form, so exactness claims (and disputes between processors about a
@@ -513,8 +411,7 @@ pub fn pipeline_schedule_exact(
     // that, every input is finite and from_f64 is lossless.
     let _ = BusParams::new(0.0, bids.to_vec())?;
     let rat = |x: f64| Rational::from_f64(x).ok();
-    let m = bids.len();
-    let mut w: Vec<Rational> = Vec::with_capacity(m);
+    let mut w: Vec<Rational> = Vec::with_capacity(bids.len());
     for (index, &x) in bids.iter().enumerate() {
         match rat(x) {
             Some(r) => w.push(r),
@@ -526,11 +423,9 @@ pub fn pipeline_schedule_exact(
             }
         }
     }
-    let zero = Rational::zero();
-    let mut bus_free = zero.clone();
-    let mut proc_free = vec![zero.clone(); m];
+    let mut clock = BusClock::new(w.clone());
     let mut load_finish = Vec::with_capacity(loads.len());
-    let mut sequential = zero.clone();
+    let mut sequential = Rational::zero();
     for (index, spec) in loads.iter().enumerate() {
         let (s, z) = match (rat(spec.size), rat(spec.z)) {
             (Some(s), Some(z)) => (s, z),
@@ -545,91 +440,11 @@ pub fn pipeline_schedule_exact(
         let params = exact::ExactParams::new(z.clone(), w.clone());
         let alpha = exact::fractions(model, &params);
         sequential = &sequential + &(&s * &exact::optimal_makespan(model, &params));
-        let mut finish: Option<Rational> = None;
-        let raise = |cand: Rational, finish: &mut Option<Rational>| {
-            let better = finish.as_ref().map(|f| &cand > f).unwrap_or(true);
-            if better {
-                *finish = Some(cand);
-            }
-        };
-        let send_and_compute =
-            |i: usize,
-             vol: &Rational,
-             bus_free: &mut Rational,
-             proc_free: &mut [Rational]|
-             -> Option<Rational> {
-                let w_i = w.get(i)?;
-                let t_end = &*bus_free + &(vol * &z);
-                *bus_free = t_end.clone();
-                let free = proc_free.get(i)?;
-                let start = if &t_end > free { t_end } else { free.clone() };
-                let c_end = &start + &(vol * w_i);
-                *proc_free.get_mut(i)? = c_end.clone();
-                Some(c_end)
-            };
-        match model {
-            SystemModel::Cp => {
-                for (i, a) in alpha.iter().enumerate() {
-                    let vol = &s * a;
-                    if let Some(c) = send_and_compute(i, &vol, &mut bus_free, &mut proc_free) {
-                        raise(c, &mut finish);
-                    }
-                }
-            }
-            SystemModel::NcpFe => {
-                if let (Some(a0), Some(w0), Some(free)) =
-                    (alpha.first(), w.first(), proc_free.first())
-                {
-                    let c_end = free + &(&(&s * a0) * w0);
-                    raise(c_end.clone(), &mut finish);
-                    if let Some(slot) = proc_free.get_mut(0) {
-                        *slot = c_end;
-                    }
-                }
-                for (i, a) in alpha.iter().enumerate().skip(1) {
-                    let vol = &s * a;
-                    if let Some(c) = send_and_compute(i, &vol, &mut bus_free, &mut proc_free) {
-                        raise(c, &mut finish);
-                    }
-                }
-            }
-            SystemModel::NcpNfe => {
-                let o = m.saturating_sub(1);
-                if let Some(free) = proc_free.get(o) {
-                    if free > &bus_free {
-                        bus_free = free.clone();
-                    }
-                }
-                for (i, a) in alpha.iter().enumerate().take(o) {
-                    let vol = &s * a;
-                    if let Some(c) = send_and_compute(i, &vol, &mut bus_free, &mut proc_free) {
-                        raise(c, &mut finish);
-                    }
-                }
-                if let (Some(a_o), Some(w_o), Some(free)) =
-                    (alpha.get(o), w.get(o), proc_free.get(o))
-                {
-                    let start = if &bus_free > free {
-                        bus_free.clone()
-                    } else {
-                        free.clone()
-                    };
-                    let c_end = &start + &(&(&s * a_o) * w_o);
-                    raise(c_end.clone(), &mut finish);
-                    if let Some(slot) = proc_free.get_mut(o) {
-                        *slot = c_end;
-                    }
-                }
-            }
-        }
-        load_finish.push(finish.unwrap_or_else(Rational::zero));
+        load_finish.push(clock.push_load(model, &s, &z, &alpha, &mut ()));
     }
-    let makespan = load_finish
-        .iter()
-        .fold(Rational::zero(), |acc, x| if x > &acc { x.clone() } else { acc });
     Ok(ExactPipeline {
         load_finish,
-        makespan,
+        makespan: clock.makespan().clone(),
         sequential_makespan: sequential,
     })
 }

@@ -140,7 +140,10 @@ pub fn float_rule_applies(rel_path: &str) -> bool {
 /// (`dlt/src/multiload.rs`, `mechanism/src/multiload.rs`,
 /// `protocol/src/multiload.rs`, `bench/src/multiload.rs`) qualifies end to
 /// end: one k-load session splices k chains per bid update, so a panic in
-/// any layer aborts every in-flight load of the session at once.
+/// any layer aborts every in-flight load of the session at once. The bus
+/// timeline kernel (`dlt/src/bus.rs`) those schedules run on qualifies
+/// with them: it runs on every multi-load re-quote and every processed
+/// session.
 pub fn panic_rule_applies(rel_path: &str) -> bool {
     matches!(
         rel_path,
@@ -159,6 +162,7 @@ pub fn panic_rule_applies(rel_path: &str) -> bool {
             | "crates/protocol/src/supervisor.rs"
             | "crates/bench/src/service.rs"
             | "crates/dlt/src/multiload.rs"
+            | "crates/dlt/src/bus.rs"
             | "crates/mechanism/src/multiload.rs"
             | "crates/protocol/src/multiload.rs"
             | "crates/bench/src/multiload.rs"

@@ -1,11 +1,10 @@
-//! # `dls-netsim` — discrete-event bus-network simulator
+//! # `dls-netsim` — bus-network schedule simulator
 //!
-//! An independent executor for divisible-load schedules on one-port bus
-//! networks. Where `dls-dlt` computes finishing times from the closed-form
-//! equations (Eqs. 1–3), this crate *runs* the schedule: the load
-//! originator transmits fractions one at a time over a shared bus
-//! (one-port model) and each processor is a small state machine that starts
-//! computing when its data arrives.
+//! An executor for divisible-load schedules on one-port bus networks.
+//! Where `dls-dlt` computes finishing times from the closed-form equations
+//! (Eqs. 1–3), this crate *runs* the schedule: the load originator
+//! transmits fractions one at a time over a shared bus (one-port model)
+//! and each processor starts computing when its data arrives.
 //!
 //! Two consumers:
 //!
@@ -16,11 +15,11 @@
 //!   [`Timeline`] regenerates the paper's Figures 1–3 as ASCII Gantt charts
 //!   ([`gantt`]).
 //!
-//! The event engine ([`engine`]) is a generic, deterministic
-//! priority-queue DES kernel (FIFO tie-breaking) shared by this crate's
-//! simulators ([`simulate`] and the linear-network model in [`linear`]).
-//! The protocol crate does not use it: its executor resolves phase
-//! barriers on its own `sched::EventQueue`.
+//! The timing comes from one recurrence, `dls_dlt::bus::BusClock`, the
+//! same kernel the multi-load pipeline runs: [`simulate`] pushes one load
+//! through it and [`multiround`] one load per installment round. The
+//! linear-network model ([`linear`]) has a link per hop rather than a
+//! shared bus and walks the chain in one forward pass.
 //!
 //! ```
 //! use dls_dlt::{BusParams, SystemModel, optimal};
@@ -37,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod gantt;
 pub mod linear;
 pub mod multiround;

@@ -1,23 +1,14 @@
-//! Discrete-event executor for the linear daisy-chain network
-//! (`dls_dlt::linear`), cross-validating its closed-form solution the same
-//! way [`crate::simulate`] validates the bus models.
+//! Executor for the linear daisy-chain network (`dls_dlt::linear`),
+//! cross-validating its closed-form solution the same way
+//! [`crate::simulate`] validates the bus models.
 //!
 //! Store-and-forward with front ends: each processor starts computing its
 //! own fraction the moment its data arrives and simultaneously forwards the
-//! remaining tail down the next link.
+//! remaining tail down the next link. A chain has one link per hop rather
+//! than one shared bus, so arrivals follow from a single forward pass.
 
-use crate::engine::EventQueue;
 use crate::session::{ProcTimeline, Segment, Timeline};
 use dls_dlt::linear::LinearParams;
-
-/// Events in the chain execution.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// The tail for processors `> i` finished arriving at `P_{i+1}`.
-    ArrivalAt { proc_: usize },
-    /// `P_i` finished computing.
-    ComputeEnd,
-}
 
 /// Runs an allocation down the chain and returns the execution timeline.
 ///
@@ -44,7 +35,6 @@ pub fn simulate_chain(params: &LinearParams, alloc: &[f64]) -> Timeline {
         m
     ];
     let mut bus = Vec::new();
-    let mut q: EventQueue<Ev> = EventQueue::new();
 
     // Precompute tail sums: tail[i] = Σ_{j>i} α_j.
     let mut tail = vec![0.0; m];
@@ -52,37 +42,30 @@ pub fn simulate_chain(params: &LinearParams, alloc: &[f64]) -> Timeline {
         tail[i] = tail[i + 1] + alloc[i + 1];
     }
 
-    // P_1 holds the load at t=0.
-    q.schedule(0.0, Ev::ArrivalAt { proc_: 0 });
-    let makespan = {
-        let mut arrival = vec![f64::NAN; m];
-        q.run(|q, now, ev| match ev {
-            Ev::ArrivalAt { proc_ } => {
-                arrival[proc_] = now;
-                if proc_ > 0 && alloc[proc_] + tail[proc_] > 0.0 {
-                    // Record the inbound transfer segment.
-                    let dur = z[proc_ - 1] * (alloc[proc_] + tail[proc_]);
-                    let seg = Segment {
-                        start: now - dur,
-                        end: now,
-                    };
-                    bus.push((proc_, seg));
-                    procs[proc_].recv = Some(seg);
-                }
-                if alloc[proc_] > 0.0 {
-                    let end = now + alloc[proc_] * w[proc_];
-                    procs[proc_].compute = Some(Segment { start: now, end });
-                    q.schedule(end, Ev::ComputeEnd);
-                }
-                // Forward the tail while computing (front end).
-                if proc_ + 1 < m {
-                    let dur = z[proc_] * (alloc[proc_ + 1] + tail[proc_ + 1]);
-                    q.schedule(now + dur, Ev::ArrivalAt { proc_: proc_ + 1 });
-                }
+    // P_1 holds the load at t=0; the tail for processors `>= i` reaches
+    // P_i one link transfer after it reached P_{i-1}.
+    let mut now = 0.0;
+    let mut makespan = 0.0f64;
+    for i in 0..m {
+        if i > 0 {
+            let dur = z[i - 1] * (alloc[i] + tail[i]);
+            now += dur;
+            if alloc[i] + tail[i] > 0.0 {
+                let seg = Segment {
+                    start: now - dur,
+                    end: now,
+                };
+                bus.push((i, seg));
+                procs[i].recv = Some(seg);
             }
-            Ev::ComputeEnd => {}
-        })
-    };
+        }
+        makespan = makespan.max(now);
+        if alloc[i] > 0.0 {
+            let end = now + alloc[i] * w[i];
+            procs[i].compute = Some(Segment { start: now, end });
+            makespan = makespan.max(end);
+        }
+    }
 
     Timeline {
         procs,

@@ -11,6 +11,7 @@
 //! the one-port bus — the experiment behind E12.
 
 use crate::session::Segment;
+use dls_dlt::bus::{BusClock, Sink};
 use dls_dlt::{optimal, BusParams, SystemModel};
 use std::fmt;
 
@@ -142,13 +143,16 @@ pub fn simulate_multiround_faulty(
         }
     }
 
-    let mut bus_free = 0.0;
-    let mut proc_free = vec![0.0; m];
-    let mut compute: Vec<Vec<Segment>> = vec![Vec::with_capacity(rounds); m];
-    let mut bus = Vec::with_capacity(rounds * m);
+    let mut clock = BusClock::new(w.to_vec());
+    let mut record = Installments {
+        round: 0,
+        compute: vec![Vec::with_capacity(rounds); m],
+        bus: Vec::with_capacity(rounds * m),
+    };
     let mut participants: Vec<Vec<usize>> = Vec::with_capacity(rounds);
     // Survivor fractions, re-solved only when the participant set shrinks.
     let mut cached: Option<(Vec<usize>, Vec<f64>)> = None;
+    let mut chunks = vec![0.0; m];
 
     for r in 0..rounds {
         let alive: Vec<usize> = (0..m)
@@ -166,41 +170,45 @@ pub fn simulate_multiround_faulty(
             cached = Some((alive.clone(), alpha));
         }
         let alpha = cached.as_ref().map_or(&[] as &[f64], |(_, a)| a.as_slice());
+        // One CP load of the round's installments; departed processors
+        // get zero volume, which the record skips.
+        chunks.fill(0.0);
         for (pos, &i) in alive.iter().enumerate() {
-            let chunk = alpha.get(pos).copied().unwrap_or(0.0) / rounds as f64;
-            if chunk <= 0.0 {
-                continue;
-            }
-            // One-port transfer.
-            let t_start = bus_free;
-            let t_end = t_start + chunk * z;
-            bus.push((i, r, Segment { start: t_start, end: t_end }));
-            bus_free = t_end;
-            // Compute after arrival, after the previous installment.
-            let c_start = t_end.max(proc_free[i]);
-            let c_end = c_start + chunk * w[i];
-            compute[i].push(Segment { start: c_start, end: c_end });
-            proc_free[i] = c_end;
+            chunks[i] = alpha.get(pos).copied().unwrap_or(0.0) / rounds as f64;
         }
+        record.round = r;
+        clock.push_load(SystemModel::Cp, &1.0, &z, &chunks, &mut record);
         participants.push(alive);
     }
 
-    let makespan = proc_free.iter().cloned().fold(0.0f64, f64::max);
     Ok(MultiroundResult {
         rounds,
-        makespan,
-        compute,
-        bus,
+        makespan: *clock.makespan(),
+        compute: record.compute,
+        bus: record.bus,
         participants,
     })
 }
 
-/// Convenience: single-round CP makespan from the same executor (equals the
-/// closed-form optimum; asserted by tests).
-pub fn single_round_makespan(params: &BusParams) -> f64 {
-    simulate_multiround(params, 1)
-        .expect("rounds = 1 is always valid")
-        .makespan
+/// Records each round's non-empty installments.
+struct Installments {
+    round: usize,
+    compute: Vec<Vec<Segment>>,
+    bus: Vec<(usize, usize, Segment)>,
+}
+
+impl Sink<f64> for Installments {
+    fn send(&mut self, i: usize, chunk: &f64, &start: &f64, &end: &f64) {
+        if *chunk > 0.0 {
+            self.bus.push((i, self.round, Segment { start, end }));
+        }
+    }
+
+    fn compute(&mut self, i: usize, chunk: &f64, &start: &f64, &end: &f64) {
+        if *chunk > 0.0 {
+            self.compute[i].push(Segment { start, end });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -214,7 +222,7 @@ mod tests {
     #[test]
     fn single_round_matches_closed_form() {
         let p = params();
-        let got = single_round_makespan(&p);
+        let got = simulate_multiround(&p, 1).unwrap().makespan;
         let want = optimal::optimal_makespan(SystemModel::Cp, &p);
         assert!((got - want).abs() < 1e-12, "{got} vs {want}");
     }

@@ -1,13 +1,14 @@
 //! Executing a divisible-load schedule on the simulated bus.
 //!
 //! The originator holds the whole load and transmits each fraction to its
-//! recipient as one bus transfer (one-port: transfers serialize). Each
-//! processor is a state machine: `Idle → Receiving → Computing → Done`.
-//! The originator itself follows the model: with a front end it computes
-//! from time 0 in parallel with its sends (NCP-FE); without one it computes
-//! only after its last send (NCP-NFE); the CP originator never computes.
+//! recipient as one bus transfer (one-port: transfers serialize), and each
+//! recipient computes as soon as its data has arrived. The originator
+//! itself follows the model: with a front end it computes from time 0 in
+//! parallel with its sends (NCP-FE); without one it computes only after
+//! its last send (NCP-NFE); the CP originator never computes. The timing
+//! is one load on the shared [`BusClock`] recurrence.
 
-use crate::engine::EventQueue;
+use dls_dlt::bus::{BusClock, Sink};
 use dls_dlt::{BusParams, SystemModel};
 use serde::{Deserialize, Serialize};
 
@@ -121,100 +122,46 @@ impl SessionSpec {
     }
 }
 
-/// Events inside the session simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    /// The bus finished delivering processor `i`'s fraction.
-    TransferEnd { dst: usize },
-    /// Processor `i` finished computing.
-    ComputeEnd { proc_: usize },
+/// Records the non-empty fractions' segments into a [`Timeline`].
+struct Record {
+    procs: Vec<ProcTimeline>,
+    bus: Vec<(usize, Segment)>,
 }
 
-/// Runs the schedule through the event engine and returns the timeline.
+impl Sink<f64> for Record {
+    fn send(&mut self, i: usize, volume: &f64, &start: &f64, &end: &f64) {
+        if *volume > 0.0 {
+            let seg = Segment { start, end };
+            self.bus.push((i, seg));
+            self.procs[i].recv = Some(seg);
+        }
+    }
+
+    fn compute(&mut self, i: usize, volume: &f64, &start: &f64, &end: &f64) {
+        if *volume > 0.0 {
+            self.procs[i].compute = Some(Segment { start, end });
+        }
+    }
+}
+
+/// Runs the schedule on the bus and returns the timeline. Recipients are
+/// served in index order (Theorem 2.2: order does not matter for the
+/// optimum; this is the paper's canonical order).
 pub fn simulate(spec: &SessionSpec) -> Timeline {
-    let m = spec.params.m();
+    let idle = ProcTimeline {
+        recv: None,
+        compute: None,
+    };
+    let mut record = Record {
+        procs: vec![idle; spec.params.m()],
+        bus: Vec::new(),
+    };
+    let mut clock = BusClock::new(spec.params.w().to_vec());
     let z = spec.params.z();
-    let w = spec.params.w();
-    let alloc = &spec.alloc;
-    let originator = spec.model.originator(m);
-
-    let mut procs = vec![
-        ProcTimeline {
-            recv: None,
-            compute: None,
-        };
-        m
-    ];
-    let mut bus = Vec::new();
-    let mut q: EventQueue<Ev> = EventQueue::new();
-
-    // Recipients in index order (Theorem 2.2: order does not matter for the
-    // optimum; we use the paper's canonical order).
-    let recipients: Vec<usize> = (0..m).filter(|&i| Some(i) != originator).collect();
-
-    // Schedule all transfers back-to-back (the originator is one-port).
-    let mut t = 0.0;
-    for &i in &recipients {
-        let dur = alloc[i] * z;
-        let seg = Segment {
-            start: t,
-            end: t + dur,
-        };
-        if alloc[i] > 0.0 {
-            bus.push((i, seg));
-            procs[i].recv = Some(seg);
-        }
-        t = seg.end;
-        q.schedule(seg.end, Ev::TransferEnd { dst: i });
-    }
-    let last_send_end = t;
-
-    // Originator computation per model.
-    match spec.model {
-        SystemModel::Cp => {
-            // No originator among the workers — everyone receives.
-        }
-        SystemModel::NcpFe => {
-            let lo = originator.expect("ncp model has an originator");
-            if alloc[lo] > 0.0 {
-                // Front end: compute from time 0, overlapping the sends.
-                q.schedule(alloc[lo] * w[lo], Ev::ComputeEnd { proc_: lo });
-                procs[lo].compute = Some(Segment {
-                    start: 0.0,
-                    end: alloc[lo] * w[lo],
-                });
-            }
-        }
-        SystemModel::NcpNfe => {
-            let lo = originator.expect("ncp model has an originator");
-            if alloc[lo] > 0.0 {
-                // No front end: compute strictly after the last send.
-                let end = last_send_end + alloc[lo] * w[lo];
-                q.schedule(end, Ev::ComputeEnd { proc_: lo });
-                procs[lo].compute = Some(Segment {
-                    start: last_send_end,
-                    end,
-                });
-            }
-        }
-    }
-
-    // Drive the event loop: a completed transfer starts the recipient's
-    // computation.
-    let makespan = q.run(|q, now, ev| match ev {
-        Ev::TransferEnd { dst } => {
-            if alloc[dst] > 0.0 {
-                let end = now + alloc[dst] * w[dst];
-                procs[dst].compute = Some(Segment { start: now, end });
-                q.schedule(end, Ev::ComputeEnd { proc_: dst });
-            }
-        }
-        Ev::ComputeEnd { .. } => {}
-    });
-
+    let makespan = clock.push_load(spec.model, &1.0, &z, &spec.alloc, &mut record);
     Timeline {
-        procs,
-        bus,
+        procs: record.procs,
+        bus: record.bus,
         makespan,
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests: the discrete-event simulator agrees with the closed-form
+//! Property tests: the bus simulator agrees with the closed-form
 //! finishing-time equations on random schedules, and structural invariants
 //! hold on every trace.
 //!

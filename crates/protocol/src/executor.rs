@@ -855,10 +855,10 @@ pub(crate) fn drive_round(
         let report = match equivocation {
             Some((who, a, b)) => PhaseReport::Accuse {
                 accused: *who,
-                evidence: Evidence::Equivocation {
+                evidence: Box::new(Evidence::Equivocation {
                     first: a.clone(),
                     second: b.clone(),
-                },
+                }),
             },
             None => PhaseReport::Ok,
         };
@@ -1001,11 +1001,11 @@ pub(crate) fn drive_round(
                 if mismatch || false_accusation {
                     alloc_report = PhaseReport::Accuse {
                         accused: originator,
-                        evidence: Evidence::WrongAllocation {
+                        evidence: Box::new(Evidence::WrongAllocation {
                             grant: grant.clone(),
                             bid_view: signed_bids.clone(),
                             expected_blocks: expected,
-                        },
+                        }),
                     };
                 }
             }

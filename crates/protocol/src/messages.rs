@@ -83,8 +83,8 @@ pub enum PhaseReport {
     Accuse {
         /// The accused processor.
         accused: usize,
-        /// Supporting evidence.
-        evidence: Evidence,
+        /// Supporting evidence, boxed so every other message stays small.
+        evidence: Box<Evidence>,
     },
 }
 
@@ -161,7 +161,7 @@ impl Msg {
             }
             Msg::Report { report, .. } => match report {
                 PhaseReport::Ok => 16,
-                PhaseReport::Accuse { evidence, .. } => match evidence {
+                PhaseReport::Accuse { evidence, .. } => match evidence.as_ref() {
                     Evidence::Equivocation { first, second } => {
                         16 + signed_size(first) + signed_size(second)
                     }
@@ -387,10 +387,10 @@ mod tests {
                     from: 1,
                     report: PhaseReport::Accuse {
                         accused: 0,
-                        evidence: Evidence::Equivocation {
+                        evidence: Box::new(Evidence::Equivocation {
                             first: b1.clone(),
                             second: forged.clone(),
-                        },
+                        }),
                     },
                 },
                 16 + scratch_size(&b1) + scratch_size(&forged),
@@ -400,11 +400,11 @@ mod tests {
                     from: 1,
                     report: PhaseReport::Accuse {
                         accused: 0,
-                        evidence: Evidence::WrongAllocation {
+                        evidence: Box::new(Evidence::WrongAllocation {
                             grant: grant.clone(),
                             bid_view: view,
                             expected_blocks: 2,
-                        },
+                        }),
                     },
                 },
                 16 + scratch_size(&grant) + view_size,

@@ -164,7 +164,7 @@ impl Referee {
             let PhaseReport::Accuse { accused, evidence } = report else {
                 continue;
             };
-            match evidence {
+            match evidence.as_ref() {
                 Evidence::Equivocation { first, second } => {
                     let substantiated = is_processor_identity(first.signer(), *accused)
                         && is_equivocation(first, second, &self.registry);
@@ -208,7 +208,7 @@ impl Referee {
                 grant,
                 bid_view,
                 expected_blocks: _,
-            } = evidence
+            } = evidence.as_ref()
             else {
                 deviants.insert(*reporter);
                 continue;
@@ -448,7 +448,7 @@ mod tests {
             1,
             PhaseReport::Accuse {
                 accused: 0,
-                evidence: Evidence::Equivocation { first, second },
+                evidence: Box::new(Evidence::Equivocation { first, second }),
             },
         )]);
         assert!(!v.proceed);
@@ -467,7 +467,7 @@ mod tests {
             2,
             PhaseReport::Accuse {
                 accused: 0,
-                evidence: Evidence::Equivocation { first, second },
+                evidence: Box::new(Evidence::Equivocation { first, second }),
             },
         )]);
         assert!(!v.proceed);
@@ -494,7 +494,7 @@ mod tests {
             2,
             PhaseReport::Accuse {
                 accused: 0,
-                evidence: Evidence::Equivocation { first, second },
+                evidence: Box::new(Evidence::Equivocation { first, second }),
             },
         )]);
         assert_eq!(v.fined, vec![(2, 10.0)]);
@@ -508,10 +508,10 @@ mod tests {
                 reporter,
                 PhaseReport::Accuse {
                     accused: 0,
-                    evidence: Evidence::Equivocation {
+                    evidence: Box::new(Evidence::Equivocation {
                         first: signed_bid(&f, 0, 1.0),
                         second: signed_bid(&f, 0, 4.0),
-                    },
+                    }),
                 },
             )
         };
@@ -531,11 +531,11 @@ mod tests {
                 1,
                 PhaseReport::Accuse {
                     accused: 0,
-                    evidence: Evidence::WrongAllocation {
+                    evidence: Box::new(Evidence::WrongAllocation {
                         grant,
                         bid_view: bid_view(&f),
                         expected_blocks: 99,
-                    },
+                    }),
                 },
             )],
             &f.dataset,
@@ -556,11 +556,11 @@ mod tests {
                 1,
                 PhaseReport::Accuse {
                     accused: 0,
-                    evidence: Evidence::WrongAllocation {
+                    evidence: Box::new(Evidence::WrongAllocation {
                         grant: short,
                         bid_view: bid_view(&f),
                         expected_blocks: 0,
-                    },
+                    }),
                 },
             )],
             &f.dataset,
@@ -583,11 +583,11 @@ mod tests {
                 1,
                 PhaseReport::Accuse {
                     accused: 0,
-                    evidence: Evidence::WrongAllocation {
+                    evidence: Box::new(Evidence::WrongAllocation {
                         grant: padded,
                         bid_view: bid_view(&f),
                         expected_blocks: 0,
-                    },
+                    }),
                 },
             )],
             &f.dataset,
@@ -611,11 +611,11 @@ mod tests {
                 1,
                 PhaseReport::Accuse {
                     accused: 0,
-                    evidence: Evidence::WrongAllocation {
+                    evidence: Box::new(Evidence::WrongAllocation {
                         grant,
                         bid_view: view,
                         expected_blocks: 0,
-                    },
+                    }),
                 },
             )],
             &f.dataset,
@@ -632,11 +632,11 @@ mod tests {
                 1,
                 PhaseReport::Accuse {
                     accused: 2, // P3 never sends grants
-                    evidence: Evidence::WrongAllocation {
+                    evidence: Box::new(Evidence::WrongAllocation {
                         grant,
                         bid_view: bid_view(&f),
                         expected_blocks: 0,
-                    },
+                    }),
                 },
             )],
             &f.dataset,

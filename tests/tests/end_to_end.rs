@@ -1,4 +1,4 @@
-//! Cross-crate integration: the closed-form DLT solver, the discrete-event
+//! Cross-crate integration: the closed-form DLT solver, the bus
 //! simulator, the trusted DLS-BL mechanism, and the distributed DLS-BL-NCP
 //! protocol must all tell the same story about the same market.
 

@@ -43,6 +43,14 @@ fn bench_sign_verify(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("verify", bits), &pk, |b, pk| {
             b.iter(|| black_box(pk.verify(msg, &sig)))
         });
+        // The kernels alone: a precomputed digest in, so message hashing
+        // is not in the number.
+        g.bench_with_input(BenchmarkId::new("sign_digest", bits), &sk, |b, sk| {
+            b.iter(|| black_box(sk.sign_digest(&digest)))
+        });
+        g.bench_with_input(BenchmarkId::new("verify_digest", bits), &pk, |b, pk| {
+            b.iter(|| black_box(pk.verify_digest(&digest, &sig)))
+        });
     }
     g.finish();
 }

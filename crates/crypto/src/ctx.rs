@@ -1,14 +1,21 @@
-//! Per-key exponentiation contexts and the per-session verification cache.
+//! Per-key RSA contexts and the per-session verification cache.
 //!
 //! Every RSA operation is a modular exponentiation under a fixed per-key
 //! exponent, and every key performs many of them (a session verifies Θ(m²)
 //! envelopes under m keys and signs Θ(m) bodies per key). The contexts here
 //! hoist everything that depends only on the key out of the per-call path;
-//! [`crate::rsa::generate`] builds them once per key pair:
+//! [`crate::rsa::generate`] builds them once per key pair. Each runs on the
+//! fixed-width Montgomery kernel of `dls-num`: the storage width is picked
+//! once per key by [`with_limbs`], so the 384-, 512- and 1024-bit keys and
+//! their CRT halves run on `[u64; N]` words on the stack, and bytes go
+//! straight to words and back with no `BigUint` and no heap traffic
+//! between.
 //!
-//! * [`VerifyCtx`] — the public half's [`MontgomeryCtx`] for the modulus
-//!   `n` plus the fixed-window schedule for `e`. It is the key pair's only
-//!   modulus-`n` context.
+//! * [`VerifyCtx`] — the public half: the Montgomery context for the
+//!   modulus `n` and the fixed-window schedule for `e`. It is the key
+//!   pair's only modulus-`n` context. A verification loads the signature
+//!   bytes into words (rejecting `s ≥ n`), raises them to `e` and compares
+//!   the result word for word with the padded digest.
 //! * [`SignCtx`] — the secret half signs through the Chinese Remainder
 //!   Theorem: two half-width exponentiations, `m^dp mod p` and
 //!   `m^dq mod q` with `dp = d mod (p−1)` and `dq = d mod (q−1)`, each
@@ -30,63 +37,204 @@
 //!   memoized one ([`crate::pki::Signed::digest`]), so a lookup hashes ~100
 //!   bytes instead of re-encoding the body.
 
-use crate::sha256;
-use dls_num::{modmath, BigUint, ExpWindows, MontgomeryCtx};
+use crate::rsa::padded;
+use crate::sha256::{self, Digest};
+use dls_num::limbs::{
+    be_bytes_minimal, biguint_from_limbs, limbs_from_biguint, load_be, mul_add_wide, words_for,
+};
+use dls_num::{modmath, with_limbs, BigUint, ExpWindows, Limbs, LimbsVisitor, MontgomeryCtx};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Precomputed state for modular exponentiation under one fixed exponent.
+/// The public half at one storage width (see [`VerifyCtx`]).
 ///
-/// Holds the modulus's Montgomery context and the window schedule of the
-/// exponent. Building one costs a handful of Montgomery multiplies; every
-/// subsequent [`pow`](ExpCtx::pow) saves a Knuth-D division per multiply
-/// relative to `modmath::pow_mod`.
-#[derive(Debug, Clone)]
-pub struct ExpCtx {
-    mont: Arc<MontgomeryCtx>,
-    windows: ExpWindows,
+/// Bounds are spelled as `where` clauses because the unchecked-arithmetic
+/// lint, which covers this file, reads a `+` between names as arithmetic.
+trait VerifyKernel
+where
+    Self: Send,
+    Self: Sync,
+{
+    fn verify(&self, digest: &Digest, sig: &[u8]) -> bool;
+    fn pow_be(&self, base: &[u8]) -> Vec<u8>;
+    fn modulus(&self) -> BigUint;
+    fn width(&self) -> usize;
 }
 
-impl ExpCtx {
-    /// Builds a context for `exp` under the (odd, > 1) modulus in `mont`.
-    pub fn new(mont: Arc<MontgomeryCtx>, exp: &BigUint) -> Self {
-        ExpCtx {
-            windows: ExpWindows::new(exp),
-            mont,
+/// `n`'s Montgomery context, `e`'s window schedule and the modulus length
+/// `k` in bytes.
+struct PublicHalf<L: Limbs> {
+    n: MontgomeryCtx<L>,
+    e: ExpWindows,
+    k: usize,
+}
+
+impl<L: Limbs> VerifyKernel for PublicHalf<L> {
+    fn verify(&self, digest: &Digest, sig: &[u8]) -> bool {
+        let n = &self.n;
+        // Leading zero bytes carry no value; a value too wide for the
+        // storage is at least R > n and fails like any other s ≥ n.
+        let Some(s) = load_be::<L>(n.width(), sig.len(), sig.iter().copied()) else {
+            return false;
+        };
+        if !n.is_reduced(&s) {
+            return false;
         }
+        let m = n.from_mont(&n.pow_to_mont(&n.to_mont(&s), &self.e));
+        load_be::<L>(n.width(), self.k, padded(digest, self.k))
+            .is_some_and(|expected| m == expected)
     }
 
-    /// `base^exp mod n` — bit-identical to `modmath::pow_mod` on the same
-    /// inputs (the Montgomery differential suites pin this down).
-    pub fn pow(&self, base: &BigUint) -> BigUint {
-        self.mont.pow_windows(base, &self.windows)
+    fn pow_be(&self, base: &[u8]) -> Vec<u8> {
+        let n = &self.n;
+        let base_m = n.to_mont_be(base.len(), base.iter().copied());
+        be_bytes_minimal(&[n.from_mont(&n.pow_to_mont(&base_m, &self.e)).words()])
     }
 
-    /// The Montgomery context for the modulus.
-    pub fn montgomery(&self) -> &Arc<MontgomeryCtx> {
-        &self.mont
+    fn modulus(&self) -> BigUint {
+        biguint_from_limbs(self.n.modulus().words())
+    }
+
+    fn width(&self) -> usize {
+        self.n.width()
     }
 }
 
-/// Per-key verification context: the public exponent's [`ExpCtx`].
-pub type VerifyCtx = ExpCtx;
+/// Per-key verification context: `s^e mod n` on the fixed-width kernel
+/// (see the module docs). Cheap to clone: clones share the kernel.
+#[derive(Clone)]
+pub struct VerifyCtx {
+    kernel: Arc<dyn VerifyKernel>,
+}
+
+impl VerifyCtx {
+    /// Builds the context for the public exponent `e` under the modulus
+    /// `n`. Returns `None` when `n` is even or below 3.
+    pub fn new(n: &BigUint, e: &BigUint) -> Option<Self> {
+        struct Build<'a>(&'a BigUint, &'a BigUint);
+        impl LimbsVisitor for Build<'_> {
+            type Output = Option<Arc<dyn VerifyKernel>>;
+            fn visit<L: Limbs>(self, width: usize) -> Self::Output {
+                let Build(n, e) = self;
+                Some(Arc::new(PublicHalf::<L> {
+                    n: MontgomeryCtx::new(n, width).ok()?,
+                    e: ExpWindows::new(e),
+                    k: n.bits().div_ceil(8),
+                }))
+            }
+        }
+        let kernel = with_limbs(words_for(n), Build(n, e))?;
+        Some(VerifyCtx { kernel })
+    }
+
+    /// `true` iff `sig` (big-endian, leading zeros allowed) is the
+    /// signature of `digest`: `sig < n` and `sig^e mod n` equals the
+    /// padded digest. Verdicts are those of
+    /// [`crate::rsa::PublicKey::verify_digest_naive`] on every input.
+    pub fn verify_digest(&self, digest: &Digest, sig: &[u8]) -> bool {
+        self.kernel.verify(digest, sig)
+    }
+
+    /// `base^e mod n` — bit-identical to `modmath::pow_mod(base, e, n)`,
+    /// including `base >= n`.
+    pub fn pow(&self, base: &BigUint) -> BigUint {
+        BigUint::from_bytes_be(&self.kernel.pow_be(&base.to_bytes_be()))
+    }
+
+    /// The modulus `n`.
+    pub fn modulus(&self) -> BigUint {
+        self.kernel.modulus()
+    }
+
+    /// Operand width in 64-bit words.
+    pub fn width(&self) -> usize {
+        self.kernel.width()
+    }
+}
+
+impl fmt::Debug for VerifyCtx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "VerifyCtx(n={} bits)", self.modulus().bits())
+    }
+}
+
+/// The secret half at one storage width (see [`SignCtx`]).
+trait SignKernel
+where
+    Self: Send,
+    Self: Sync,
+{
+    fn sign(&self, digest: &Digest) -> Vec<u8>;
+    fn pow_be(&self, base: &[u8]) -> Vec<u8>;
+    fn factors(&self) -> [BigUint; 2];
+    fn width(&self) -> usize;
+}
+
+/// Both CRT halves in one storage width (the wider factor's, so Garner's
+/// recombination mixes operands of one type): each factor's Montgomery
+/// context and reduced exponent's window schedule, `qinv = q⁻¹ mod p`, and
+/// the modulus length `k` in bytes.
+struct CrtHalves<L: Limbs> {
+    p: MontgomeryCtx<L>,
+    q: MontgomeryCtx<L>,
+    dp: ExpWindows,
+    dq: ExpWindows,
+    qinv: L,
+    k: usize,
+}
+
+impl<L: Limbs> CrtHalves<L> {
+    /// `base^d mod n` for the big-endian `len`-byte `base`, as minimal
+    /// big-endian bytes.
+    fn pow(&self, len: usize, base: impl Iterator<Item = u8> + Clone) -> Vec<u8> {
+        let (p, q) = (&self.p, &self.q);
+        // Each half reduces the base by its own factor on entry, and the
+        // two ladders run in lockstep; sp stays in p's Montgomery domain,
+        // sq leaves q's.
+        let (bp, bq) = (p.to_mont_be(len, base.clone()), q.to_mont_be(len, base));
+        let (sp, sq) = MontgomeryCtx::pow_to_mont_pair((p, &bp, &self.dp), (q, &bq, &self.dq));
+        let sq = q.from_mont(&sq);
+        // Garner: s = sq + q·h with h = qinv·(sp − sq) mod p. Then
+        // s ≡ sq (mod q), s ≡ sq + (sp − sq) = sp (mod p) as q·qinv ≡ 1, and
+        // s ≤ (q − 1) + q·(p − 1) = n − 1, so s is already the canonical
+        // residue in [0, n) and needs no final reduction. In p's domain,
+        // to_mont(sq) is sq·R (sq < q fits the storage), the difference is
+        // (sp − sq)·R, and one multiply by the plain qinv strips the R.
+        let diff = p.sub(&sp, &p.to_mont(&sq));
+        let h = p.mul(&diff, &self.qinv);
+        let (lo, hi) = mul_add_wide(q.modulus(), &h, &sq);
+        be_bytes_minimal(&[lo.words(), hi.words()])
+    }
+}
+
+impl<L: Limbs> SignKernel for CrtHalves<L> {
+    fn sign(&self, digest: &Digest) -> Vec<u8> {
+        self.pow(self.k, padded(digest, self.k))
+    }
+
+    fn pow_be(&self, base: &[u8]) -> Vec<u8> {
+        self.pow(base.len(), base.iter().copied())
+    }
+
+    fn factors(&self) -> [BigUint; 2] {
+        [&self.p, &self.q].map(|f| biguint_from_limbs(f.modulus().words()))
+    }
+
+    fn width(&self) -> usize {
+        self.p.width()
+    }
+}
 
 /// Per-key signing context: `m^d mod n` through the Chinese Remainder
-/// Theorem (see the module docs).
+/// Theorem on the fixed-width kernel (see the module docs).
 ///
 /// Holds no modulus-`n` state: the public half's [`VerifyCtx`] is the key
 /// pair's only full-width context. `Debug` prints the factor sizes only.
+/// Cheap to clone: clones share the kernel.
 #[derive(Clone)]
 pub struct SignCtx {
-    /// `p`'s half-width Montgomery context and `dp = d mod (p−1)`'s
-    /// window schedule.
-    p: ExpCtx,
-    /// `q`'s half-width Montgomery context and `dq = d mod (q−1)`'s
-    /// window schedule.
-    q: ExpCtx,
-    /// `q⁻¹ mod p`, Garner's recombination coefficient.
-    qinv: BigUint,
+    kernel: Arc<dyn SignKernel>,
 }
 
 impl SignCtx {
@@ -98,65 +246,64 @@ impl SignCtx {
     /// Returns `None` when either factor is even or below 3, or when `q`
     /// has no inverse mod `p`.
     pub fn new(p: &BigUint, q: &BigUint, d: &BigUint) -> Option<Self> {
-        let one = BigUint::one();
-        let half = |f: &BigUint| -> Option<ExpCtx> {
-            let mont = MontgomeryCtx::new(f).ok()?;
-            let f_minus_1 = f.checked_sub(&one)?;
-            Some(ExpCtx::new(Arc::new(mont), &(d % &f_minus_1)))
-        };
-        let (hp, hq) = (half(p)?, half(q)?);
-        Some(SignCtx {
-            qinv: modmath::inv_mod(q, p)?,
-            p: hp,
-            q: hq,
-        })
+        struct Build<'a>(&'a BigUint, &'a BigUint, &'a BigUint);
+        impl LimbsVisitor for Build<'_> {
+            type Output = Option<Arc<dyn SignKernel>>;
+            fn visit<L: Limbs>(self, width: usize) -> Self::Output {
+                let Build(p, q, d) = self;
+                let one = BigUint::one();
+                let half = |f: &BigUint| -> Option<(MontgomeryCtx<L>, ExpWindows)> {
+                    let mont = MontgomeryCtx::new(f, width).ok()?;
+                    Some((mont, ExpWindows::new(&(d % &f.checked_sub(&one)?))))
+                };
+                let ((hp, dp), (hq, dq)) = (half(p)?, half(q)?);
+                // k is the byte length of n = p·q.
+                let (lo, hi) = mul_add_wide(hp.modulus(), hq.modulus(), &L::zeroed(width));
+                Some(Arc::new(CrtHalves {
+                    qinv: limbs_from_biguint(&modmath::inv_mod(q, p)?, width)?,
+                    k: be_bytes_minimal(&[lo.words(), hi.words()]).len(),
+                    p: hp,
+                    q: hq,
+                    dp,
+                    dq,
+                }))
+            }
+        }
+        let width = words_for(p).max(words_for(q));
+        let kernel = with_limbs(width, Build(p, q, d))?;
+        Some(SignCtx { kernel })
+    }
+
+    /// The signature bytes of `digest`: the padded digest raised to `d`,
+    /// as minimal big-endian bytes (what `BigUint::to_bytes_be` gives).
+    /// The returned vector is the only heap allocation.
+    pub fn sign_digest(&self, digest: &Digest) -> Vec<u8> {
+        self.kernel.sign(digest)
     }
 
     /// `base^d mod n` — bit-identical to `modmath::pow_mod(base, d, n)` on
     /// every base, including `0`, multiples of `p` or `q`, and `base >= n`.
     pub fn pow(&self, base: &BigUint) -> BigUint {
-        let p = self.p.montgomery().modulus();
-        let q = self.q.montgomery().modulus();
-        // Each half reduces `base` by its own factor on entry.
-        let sp = self.p.pow(base);
-        let sq = self.q.pow(base);
-        // Garner: s = sq + q·h with h = qinv·(sp − sq) mod p. Then
-        // s ≡ sq (mod q), s ≡ sq + (sp − sq) = sp (mod p) as q·qinv ≡ 1, and
-        // s ≤ (q − 1) + q·(p − 1) = n − 1, so s is already the canonical
-        // residue in [0, n) and needs no final reduction.
-        let diff = sub_mod(&sp, &(&sq % p), p);
-        let h = modmath::mul_mod(&self.qinv, &diff, p);
-        &sq + &(q * &h)
+        BigUint::from_bytes_be(&self.kernel.pow_be(&base.to_bytes_be()))
     }
 
-    /// The half-width Montgomery contexts for `p` and `q`.
+    /// Operand width in 64-bit words, shared by both halves.
+    pub fn width(&self) -> usize {
+        self.kernel.width()
+    }
+
+    /// The factors `[p, q]`.
     #[cfg(test)]
-    pub(crate) fn halves(&self) -> [&MontgomeryCtx; 2] {
-        [self.p.montgomery(), self.q.montgomery()]
+    pub(crate) fn halves(&self) -> [BigUint; 2] {
+        self.kernel.factors()
     }
 }
 
 impl fmt::Debug for SignCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Never print the factors, the reduced exponents or qinv.
-        write!(
-            f,
-            "SignCtx(p={} bits, q={} bits)",
-            self.p.montgomery().modulus().bits(),
-            self.q.montgomery().modulus().bits()
-        )
-    }
-}
-
-/// `(a − b) mod p` for reduced operands `a, b < p`.
-fn sub_mod(a: &BigUint, b: &BigUint, p: &BigUint) -> BigUint {
-    debug_assert!(a < p && b < p);
-    if a >= b {
-        // dls-lint: allow(unchecked-arith) -- a >= b by the branch test, so a − b >= 0
-        a - b
-    } else {
-        // dls-lint: allow(unchecked-arith) -- a < b < p, so a + p > b and a + p − b lies in (0, p)
-        &(a + p) - b
+        let [p, q] = self.kernel.factors();
+        write!(f, "SignCtx(p={} bits, q={} bits)", p.bits(), q.bits())
     }
 }
 
@@ -200,12 +347,19 @@ impl VerifyCache {
     /// The memoized verdict for `key`, if any receiver has verified these
     /// bytes before.
     pub fn get(&self, key: &VerdictKey) -> Option<bool> {
-        self.verdicts.lock().expect("verdict cache poisoned").get(key).copied()
+        self.verdicts
+            .lock()
+            .expect("verdict cache poisoned")
+            .get(key)
+            .copied()
     }
 
     /// Records the verdict for `key`.
     pub fn insert(&self, key: VerdictKey, verdict: bool) {
-        self.verdicts.lock().expect("verdict cache poisoned").insert(key, verdict);
+        self.verdicts
+            .lock()
+            .expect("verdict cache poisoned")
+            .insert(key, verdict);
     }
 
     /// Number of distinct envelopes verified so far.
@@ -226,15 +380,17 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn exp_ctx_matches_pow_mod() {
+    fn verify_ctx_matches_pow_mod() {
         let n = BigUint::from_dec_str("1000000000000000003").unwrap(); // prime
-        let mont = Arc::new(MontgomeryCtx::new(&n).unwrap());
         let e = BigUint::from(65_537u32);
-        let ctx = ExpCtx::new(Arc::clone(&mont), &e);
-        for base in [2u64, 17, 999_999_999_999_999_999] {
+        let ctx = VerifyCtx::new(&n, &e).unwrap();
+        assert_eq!(ctx.modulus(), n);
+        for base in [0u64, 2, 17, 999_999_999_999_999_999, u64::MAX] {
             let b = BigUint::from(base);
             assert_eq!(ctx.pow(&b), modmath::pow_mod(&b, &e, &n), "base {base}");
         }
+        assert!(VerifyCtx::new(&BigUint::from(1_000_000u32), &e).is_none());
+        assert!(VerifyCtx::new(&BigUint::one(), &e).is_none());
     }
 
     /// `(n, d)` for `e = 65537` over two distinct odd primes `p`, `q`.

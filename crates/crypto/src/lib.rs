@@ -22,10 +22,10 @@
 //! * [`pki`] — the registry mapping participant identities to public keys
 //!   plus the [`pki::Signed`] envelope (`S_β(m) = (m, SIG_β(m))`), which
 //!   encodes and hashes its body once and memoizes the result.
-//! * [`ctx`] — per-key Montgomery contexts (built once at key generation,
-//!   reused for every modexp; signing runs through the CRT on the prime
-//!   factors) and the per-session verification cache that amortizes
-//!   envelope verification across receivers.
+//! * [`ctx`] — per-key fixed-width Montgomery contexts (built once at key
+//!   generation, reused for every modexp; signing runs through the CRT on
+//!   the prime factors) and the per-session verification cache that
+//!   amortizes envelope verification across receivers.
 //!
 //! ## Substitution note (see DESIGN.md)
 //!

@@ -1,6 +1,7 @@
 //! Primality testing and prime generation for the RSA substrate.
 
-use dls_num::{BigUint, ExpWindows, MontgomeryCtx};
+use dls_num::limbs::words_for;
+use dls_num::{with_limbs, BigUint, ExpWindows, Limbs, LimbsVisitor, MontgomeryCtx};
 use rand::Rng;
 
 /// Small primes used for fast trial division before Miller–Rabin.
@@ -52,34 +53,61 @@ pub fn is_prime(n: &BigUint, rng: &mut impl Rng) -> bool {
             .collect()
     };
 
-    // One Montgomery context per candidate (n survived the small-prime
-    // sieve, so it is odd and > 2) and one window schedule for the shared
-    // exponent d, reused across every witness round. All comparisons stay
-    // in the Montgomery domain: the representation is a bijection on
-    // [0, n), so vector equality is value equality.
-    let ctx = MontgomeryCtx::new(n).expect("sieved candidate is odd and > 1");
-    let d_windows = ExpWindows::new(&d);
-    let one_m = ctx.to_mont(&one);
-    let n_minus_1_m = ctx.to_mont(&n_minus_1);
+    with_limbs(
+        words_for(n),
+        MillerRabin {
+            n,
+            d: &d,
+            s,
+            witnesses: &witnesses,
+        },
+    )
+}
 
-    'witness: for a in witnesses {
-        let a = &a % n;
-        if a.is_zero() || a.is_one() {
-            continue;
-        }
-        let mut x = ctx.pow_to_mont(&ctx.to_mont(&a), &d_windows);
-        if x == one_m || x == n_minus_1_m {
-            continue;
-        }
-        for _ in 0..s.saturating_sub(1) {
-            x = ctx.mul(&x, &x);
-            if x == n_minus_1_m {
-                continue 'witness;
+/// The witness rounds for an odd candidate `n > 2` with `n − 1 = d·2^s`,
+/// run on the fixed-width kernel at `n`'s width.
+struct MillerRabin<'a> {
+    n: &'a BigUint,
+    d: &'a BigUint,
+    s: usize,
+    witnesses: &'a [BigUint],
+}
+
+impl LimbsVisitor for MillerRabin<'_> {
+    type Output = bool;
+
+    fn visit<L: Limbs>(self, width: usize) -> bool {
+        let MillerRabin { n, d, s, witnesses } = self;
+        // One Montgomery context per candidate (n survived the small-prime
+        // sieve, so it is odd and > 2) and one window schedule for the
+        // shared exponent d, reused across every witness round. All
+        // comparisons stay in the Montgomery domain: the representation
+        // is a bijection on [0, n), so word equality is value equality.
+        let ctx = MontgomeryCtx::<L>::new(n, width).expect("sieved candidate is odd and > 1");
+        let d_windows = ExpWindows::new(d);
+        let one_m = ctx.one();
+        // −1 ≡ n − 1 in the domain: 0 − R mod n.
+        let minus_one_m = ctx.sub(&L::zeroed(width), &one_m);
+
+        'witness: for a in witnesses {
+            let a = a % n;
+            if a.is_zero() || a.is_one() {
+                continue;
             }
+            let mut x = ctx.pow_to_mont(&ctx.reduce(&a), &d_windows);
+            if x == one_m || x == minus_one_m {
+                continue;
+            }
+            for _ in 0..s.saturating_sub(1) {
+                x = ctx.mul(&x, &x);
+                if x == minus_one_m {
+                    continue 'witness;
+                }
+            }
+            return false;
         }
-        return false;
+        true
     }
-    true
 }
 
 fn trailing_zeros(n: &BigUint) -> usize {

@@ -9,10 +9,12 @@
 //! **Per-key state.** [`generate`] builds each half's context once:
 //! the public key holds `(n, e)` and a [`VerifyCtx`] (the only Montgomery
 //! context over the full modulus `n`); the secret key holds `(n, d)` and a
-//! [`SignCtx`] with the factors `p` and `q`, one half-width Montgomery
-//! context for each, the window schedules of `dp = d mod (p−1)` and
+//! [`SignCtx`] with one half-width Montgomery context for each factor `p`
+//! and `q`, the window schedules of `dp = d mod (p−1)` and
 //! `dq = d mod (q−1)`, and `qinv = q⁻¹ mod p`. [`SecretKey::sign_digest`]
-//! signs through the Chinese Remainder Theorem on that state.
+//! signs through the Chinese Remainder Theorem on that state. Both
+//! contexts run on fixed-width words (see [`crate::ctx`]): the fast paths
+//! build no `BigUint`, and signing allocates only the signature.
 //!
 //! **Byte identity.** Padding is deterministic and the CRT recombination
 //! yields the unique residue `m^d mod n`, so every signature is the same
@@ -20,12 +22,11 @@
 //! full `d` — which stays public as the oracle. Signature caches, referee
 //! evidence and the differential suites therefore see no change.
 
-use crate::ctx::{ExpCtx, SignCtx, VerifyCtx};
+use crate::ctx::{SignCtx, VerifyCtx};
 use crate::sha256::{self, Digest};
-use dls_num::{gcd, modmath, BigUint, MontgomeryCtx};
+use dls_num::{gcd, modmath, BigUint};
 use rand::Rng;
 use std::fmt;
-use std::sync::Arc;
 
 /// Default modulus size in bits. Small on purpose: sessions create one key
 /// pair per processor and property tests create many.
@@ -68,7 +69,7 @@ impl std::error::Error for RsaError {}
 pub struct PublicKey {
     n: BigUint,
     e: BigUint,
-    ctx: Arc<VerifyCtx>,
+    ctx: VerifyCtx,
 }
 
 impl PartialEq for PublicKey {
@@ -94,7 +95,7 @@ impl fmt::Debug for PublicKey {
 pub struct SecretKey {
     n: BigUint,
     d: BigUint,
-    ctx: Arc<SignCtx>,
+    ctx: SignCtx,
 }
 
 impl fmt::Debug for SecretKey {
@@ -129,15 +130,12 @@ impl PublicKey {
     }
 
     /// Verifies `sig` over a precomputed digest using the prebuilt
-    /// Montgomery context (the fast path).
+    /// fixed-width context (the fast path). Verdicts are identical to
+    /// [`verify_digest_naive`]'s.
+    ///
+    /// [`verify_digest_naive`]: PublicKey::verify_digest_naive
     pub fn verify_digest(&self, digest: &Digest, sig: &RawSignature) -> bool {
-        let s = BigUint::from_bytes_be(&sig.0);
-        if s >= self.n {
-            return false;
-        }
-        let m = self.ctx.pow(&s);
-        let expected = pad_digest(digest, self.modulus_len());
-        m == BigUint::from_bytes_be(&expected)
+        self.ctx.verify_digest(digest, &sig.0)
     }
 
     /// Verifies `sig` via plain `pow_mod` — the pre-Montgomery reference
@@ -157,7 +155,7 @@ impl PublicKey {
     }
 
     /// The prebuilt verification context.
-    pub fn verify_ctx(&self) -> &Arc<VerifyCtx> {
+    pub fn verify_ctx(&self) -> &VerifyCtx {
         &self.ctx
     }
 }
@@ -173,11 +171,7 @@ impl SecretKey {
     ///
     /// [`sign_digest_naive`]: SecretKey::sign_digest_naive
     pub fn sign_digest(&self, digest: &Digest) -> RawSignature {
-        let k = self.n.bits().div_ceil(8);
-        let m = BigUint::from_bytes_be(&pad_digest(digest, k));
-        debug_assert!(m < self.n);
-        let s = self.ctx.pow(&m);
-        RawSignature(s.to_bytes_be())
+        RawSignature(self.ctx.sign_digest(digest))
     }
 
     /// Signs via plain `pow_mod` with the full private exponent `d` — the
@@ -195,16 +189,20 @@ impl SecretKey {
 }
 
 /// Simplified EMSA-PKCS#1-v1.5: `0x00 0x01 FF…FF 0x00 || digest`,
-/// `k` bytes total.
-fn pad_digest(digest: &Digest, k: usize) -> Vec<u8> {
+/// `k` bytes total, most significant first. The fast paths stream it
+/// straight into words.
+pub(crate) fn padded(digest: &Digest, k: usize) -> impl Iterator<Item = u8> + Clone + '_ {
     assert!(k >= digest.len() + 11, "modulus too small for padding");
-    let mut out = Vec::with_capacity(k);
-    out.push(0x00);
-    out.push(0x01);
-    out.resize(k - digest.len() - 1, 0xff);
-    out.push(0x00);
-    out.extend_from_slice(digest);
-    out
+    [0x00, 0x01]
+        .into_iter()
+        .chain(std::iter::repeat_n(0xff, k - digest.len() - 3))
+        .chain(std::iter::once(0x00))
+        .chain(digest.iter().copied())
+}
+
+/// The padded digest as bytes, for the naive paths.
+fn pad_digest(digest: &Digest, k: usize) -> Vec<u8> {
+    padded(digest, k).collect()
 }
 
 /// Generates an RSA key pair with an `bits`-bit modulus.
@@ -227,12 +225,8 @@ pub fn generate(bits: usize, rng: &mut impl Rng) -> Result<(PublicKey, SecretKey
         let d = modmath::inv_mod(&e, &phi).expect("coprime by check above");
         // The public half gets the only modulus-n context; the secret half
         // signs through the CRT on p and q.
-        let mont = Arc::new(
-            MontgomeryCtx::new(&n).expect("RSA modulus is an odd semiprime > 1"),
-        );
-        let verify_ctx = Arc::new(ExpCtx::new(mont, &e));
-        let sign_ctx =
-            Arc::new(SignCtx::new(&p, &q, &d).expect("p and q are distinct odd primes"));
+        let verify_ctx = VerifyCtx::new(&n, &e).expect("RSA modulus is an odd semiprime > 1");
+        let sign_ctx = SignCtx::new(&p, &q, &d).expect("p and q are distinct odd primes");
         return Ok((
             PublicKey {
                 n: n.clone(),
@@ -329,13 +323,19 @@ mod tests {
     fn secret_key_debug_redacts() {
         let (_, sk) = keypair();
         let dbg = format!("{sk:?} {:?}", sk.ctx);
-        let [mp, mq] = sk.ctx.halves();
-        let (p, q) = (mp.modulus(), mq.modulus());
+        let [p, q] = sk.ctx.halves();
         let one = BigUint::one();
-        let dp = &sk.d % &(p - &one);
-        let dq = &sk.d % &(q - &one);
-        let qinv = modmath::inv_mod(q, p).unwrap();
-        let secrets = [("d", &sk.d), ("p", p), ("q", q), ("dp", &dp), ("dq", &dq), ("qinv", &qinv)];
+        let dp = &sk.d % &(&p - &one);
+        let dq = &sk.d % &(&q - &one);
+        let qinv = modmath::inv_mod(&q, &p).unwrap();
+        let secrets = [
+            ("d", &sk.d),
+            ("p", &p),
+            ("q", &q),
+            ("dp", &dp),
+            ("dq", &dq),
+            ("qinv", &qinv),
+        ];
         for (name, secret) in secrets {
             assert!(!dbg.contains(&secret.to_string()), "Debug leaks {name} (decimal)");
             assert!(!dbg.contains(&format!("{secret:x}")), "Debug leaks {name} (hex)");
@@ -395,15 +395,15 @@ mod tests {
     #[test]
     fn only_the_public_half_holds_a_modulus_n_context() {
         let (pk, sk) = keypair();
-        let full = pk.verify_ctx().montgomery();
-        assert_eq!(full.modulus(), &pk.n);
+        let full = pk.verify_ctx();
+        assert_eq!(full.modulus(), pk.n);
         // The secret half holds two half-width contexts over the factors
         // and nothing over n.
-        let [mp, mq] = sk.ctx.halves();
-        assert_eq!(&(mp.modulus() * mq.modulus()), &sk.n);
-        for half in [mp, mq] {
-            assert_ne!(half.modulus(), &sk.n);
-            assert!(half.width() <= full.width().div_ceil(2));
+        let [p, q] = sk.ctx.halves();
+        assert_eq!(&(&p * &q), &sk.n);
+        for half in [&p, &q] {
+            assert_ne!(half, &sk.n);
         }
+        assert!(sk.ctx.width() <= full.width().div_ceil(2));
     }
 }

@@ -13,8 +13,10 @@
 
 use dls_crypto::canon;
 use dls_crypto::pki::{is_equivocation, KeyPair, Registry};
-use dls_crypto::rsa::{self, PublicKey, SecretKey};
+use dls_crypto::rsa::{self, PublicKey, RawSignature, SecretKey};
+use dls_crypto::sha256;
 use dls_crypto::{Signed, VerifyCache};
+use dls_num::BigUint;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,12 +45,24 @@ fn fixtures() -> &'static (KeyPair, KeyPair, Registry) {
 
 /// Modulus sizes the CRT signing path is checked at, with one cached key
 /// pair each (several seeds per size run in the `rsa` unit tests; a
-/// 2048-bit key takes seconds to generate in debug builds).
-const SIZES: [usize; 4] = [384, 512, 1024, 2048];
+/// 2048-bit key takes seconds to generate in debug builds). The first four
+/// are the fixed-width sizes plus the 2048-bit fallback; the rest are odd
+/// sizes whose halves are not whole words: 385 bits splits into a 3-word
+/// and a 4-word factor, 392 into two 196-bit ones, 520 and 776 into
+/// halves on the runtime-width fallback.
+const SIZES: [usize; 8] = [384, 512, 1024, 2048, 385, 392, 520, 776];
 
 fn sized_key(size_idx: usize) -> &'static (PublicKey, SecretKey) {
-    static CELLS: [OnceLock<(PublicKey, SecretKey)>; 4] =
-        [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    static CELLS: [OnceLock<(PublicKey, SecretKey)>; 8] = [
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+    ];
     CELLS[size_idx].get_or_init(|| {
         let bits = SIZES[size_idx];
         let mut rng = StdRng::seed_from_u64(0xc47 ^ bits as u64);
@@ -248,6 +262,92 @@ proptest! {
     #[test]
     fn crt_signing_matches_oracle_2048(d in arb_digest()) {
         check_crt_signature(3, &d)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn crt_signing_matches_oracle_at_odd_sizes(d in arb_digest(), size_idx in 4usize..8) {
+        check_crt_signature(size_idx, &d)?;
+    }
+}
+
+/// The fast verdict equals the `verify_digest_naive` oracle's on `sig`;
+/// returns it.
+fn same_verdict(pk: &PublicKey, digest: &[u8; 32], sig: &[u8], what: &str) -> bool {
+    let sig = RawSignature(sig.to_vec());
+    let fast = pk.verify_digest(digest, &sig);
+    assert_eq!(fast, pk.verify_digest_naive(digest, &sig), "{what}");
+    fast
+}
+
+#[test]
+fn verdicts_match_oracle_on_boundary_encodings() {
+    // Every size but 2048 (whose naive oracle is slow in debug builds).
+    for size_idx in (0..SIZES.len()).filter(|&i| SIZES[i] != 2048) {
+        let bits = SIZES[size_idx];
+        let (pk, sk) = sized_key(size_idx);
+        let k = pk.modulus_len();
+        // A digest whose signature has a zero top byte, so its minimal
+        // encoding is shorter than the modulus.
+        let (digest, sig) = (0u32..)
+            .map(|i| sha256::digest(&i.to_be_bytes()))
+            .map(|d| (d, sk.sign_digest(&d)))
+            .find(|(_, s)| s.0.len() < k)
+            .expect("about one signature in 200 has a zero top byte");
+        assert_eq!(
+            sig,
+            sk.sign_digest_naive(&digest),
+            "{bits} bits, short signature"
+        );
+        let what = |label: &str| format!("{bits} bits: {label}");
+        assert!(same_verdict(pk, &digest, &sig.0, &what("short signature")));
+        // Zero-prefixed and over-long encodings of the same value verify.
+        let prefixed = [&[0u8][..], &sig.0].concat();
+        assert!(same_verdict(
+            pk,
+            &digest,
+            &prefixed,
+            &what("one zero byte prefixed")
+        ));
+        let over_long = [&[0u8; 40][..], &sig.0].concat();
+        assert!(same_verdict(
+            pk,
+            &digest,
+            &over_long,
+            &what("40 zero bytes prefixed")
+        ));
+        // Values at and beyond the modulus, wrong values, and a signature
+        // under another key are rejected identically.
+        let n = pk.verify_ctx().modulus();
+        let one = BigUint::one();
+        let n_minus_1 = &n - &one;
+        let n_plus_1 = &n + &one;
+        let nonzero_prefix = [&[1u8][..], &sig.0].concat();
+        let other = sized_key((size_idx + 1) % 3).1.sign_digest(&digest);
+        let rejected: [(&str, Vec<u8>); 8] = [
+            ("s = n", n.to_bytes_be()),
+            ("s = n - 1", n_minus_1.to_bytes_be()),
+            ("s = n + 1", n_plus_1.to_bytes_be()),
+            ("k + 4 bytes of 0xff", vec![0xff; k + 4]),
+            ("nonzero byte prefixed", nonzero_prefix),
+            ("empty", Vec::new()),
+            ("zero", vec![0]),
+            ("other key's signature", other.0),
+        ];
+        for (label, bytes) in rejected {
+            assert!(!same_verdict(pk, &digest, &bytes, &what(label)));
+        }
+        // The genuine signature of another digest is not this one's.
+        let other_digest = sha256::digest(b"another body");
+        assert!(!same_verdict(
+            pk,
+            &other_digest,
+            &sig.0,
+            &what("other digest")
+        ));
     }
 }
 

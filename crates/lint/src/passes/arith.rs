@@ -29,13 +29,15 @@ use crate::rules::{in_ranges, UNCHECKED_ARITH};
 use crate::SourceFile;
 
 /// The limb kernels whose arithmetic feeds exact payments — including the
-/// Montgomery kernel and the per-key exponentiation contexts built on it,
-/// which now carry the RSA hot path — each with its limb width in bits.
+/// Montgomery kernel, its word storage and byte/limb boundary, and the
+/// per-key RSA contexts built on them, which carry the RSA hot path on
+/// `u64` words — each with its limb width in bits.
 const SCOPE: &[(&str, u32)] = &[
     ("crates/num/src/biguint.rs", 32),
     ("crates/num/src/bigint.rs", 32),
+    ("crates/num/src/limbs.rs", 64),
     ("crates/num/src/montgomery.rs", 64),
-    ("crates/crypto/src/ctx.rs", 32),
+    ("crates/crypto/src/ctx.rs", 64),
 ];
 
 /// The limb width (bits) of `rel`, or `None` when the pass skips it.

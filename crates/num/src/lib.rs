@@ -10,8 +10,10 @@
 //!   assert the *equal finish time* optimality condition (Theorem 2.1) with
 //!   zero tolerance.
 //! * **The cryptographic substrate.** The paper assumes a PKI with digital
-//!   signatures; `dls-crypto` implements RSA-style signatures over
-//!   [`BigUint`] modular arithmetic ([`modmath`]).
+//!   signatures; `dls-crypto` implements RSA-style signatures on the
+//!   fixed-width Montgomery kernel ([`montgomery`], over the word storage
+//!   and byte/limb boundary in [`limbs`]), with [`BigUint`] modular
+//!   arithmetic ([`modmath`]) as its oracle.
 //!
 //! The representation is a little-endian `Vec<u32>` limb vector (so every
 //! intermediate product fits a `u64`), normalized to have no trailing zero
@@ -35,12 +37,14 @@
 
 mod bigint;
 mod biguint;
+pub mod limbs;
 pub mod modmath;
 pub mod montgomery;
 mod rational;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::{BigUint, ParseBigUintError};
+pub use limbs::{with_limbs, Limbs, LimbsVisitor};
 pub use montgomery::{ExpWindows, MontgomeryCtx, MontgomeryError};
 pub use rational::{Rational, RationalError, RationalProduct};
 

@@ -1,29 +1,34 @@
-//! Montgomery-form modular arithmetic over odd moduli — the fast path under
-//! the RSA-style signature substrate in `dls-crypto`.
+//! Montgomery-form modular arithmetic over odd moduli — the kernel under
+//! the RSA signature substrate in `dls-crypto`.
 //!
 //! [`modmath::pow_mod`](crate::modmath::pow_mod) reduces every intermediate
 //! with a full Knuth-D division. A [`MontgomeryCtx`] instead precomputes, once
 //! per modulus, the constants that let every modular multiplication run as a
 //! single fused multiply-reduce pass (CIOS — Coarsely Integrated Operand
 //! Scanning) over `u64` words with `u128` products: `n' = -n⁻¹ mod 2⁶⁴`
-//! (Hensel lifting) and `R² mod n` where `R = 2^(64·s)` for an `s`-word
-//! modulus. Exponentiation uses a fixed-window (w = 4) ladder with a
+//! (Hensel lifting), `R² mod n` and `R³ mod n` where `R = 2^(64·s)` for an
+//! `s`-word context. Exponentiation uses a fixed-window (w = 4) ladder with a
 //! precomputed odd-power table; the window schedule itself ([`ExpWindows`])
 //! depends only on the exponent and can be built once per key and reused
 //! across calls.
 //!
-//! [`BigUint`] keeps its `u32` limbs (rationals and exact payments are built
-//! on them). The kernel's 64-bit words exist only between one private
-//! `pack`/`unpack` pair: the constructor and [`to_mont`](MontgomeryCtx::to_mont)
-//! pack two limbs per word, [`from_mont`](MontgomeryCtx::from_mont) unpacks,
-//! and every Montgomery vector in between is a `Vec<u64>` of width `s`.
+//! There is one CIOS body, generic over the operand storage
+//! ([`Limbs`](crate::limbs::Limbs)): `MontgomeryCtx<[u64; N]>` is the
+//! monomorphized, allocation-free kernel for one width, and
+//! `MontgomeryCtx<Vec<u64>>` runs the same body at any other width.
+//! [`with_limbs`](crate::limbs::with_limbs) picks the storage for a width.
+//! Inputs enter as big-endian bytes of any length ([`to_mont_be`]) and are
+//! reduced by Montgomery multiplies by `R²`/`R³`, never by division.
 //!
 //! Montgomery representation is a bijection `a ↦ a·R mod n` on `[0, n)`, and
 //! every kernel here returns the canonical representative, so results are
 //! bit-identical to the `pow_mod` oracle — the property the differential
 //! tests in this module and in `dls-crypto` pin down.
+//!
+//! [`to_mont_be`]: MontgomeryCtx::to_mont_be
 
 use crate::biguint::BigUint;
+use crate::limbs::{biguint_from_limbs, cmp_words, limbs_from_biguint, load_be, words_for, Limbs};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -38,7 +43,8 @@ const WINDOW_BITS: u32 = 4;
 /// Odd powers stored in the table: `base^1, base^3, …, base^15`.
 const TABLE_LEN: usize = 1 << (WINDOW_BITS - 1);
 
-/// Error building a [`MontgomeryCtx`]: the modulus must be odd and > 1.
+/// Error building a [`MontgomeryCtx`]: the modulus must be odd, > 1 and fit
+/// the context's width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MontgomeryError {
     /// The modulus is even (including zero); Montgomery reduction requires
@@ -46,6 +52,13 @@ pub enum MontgomeryError {
     EvenModulus,
     /// The modulus is the unit `1`, which has no non-trivial residues.
     UnitModulus,
+    /// The modulus has more words than the context's storage.
+    TooWide {
+        /// Words the modulus occupies.
+        words: usize,
+        /// Words the storage holds.
+        width: usize,
+    },
 }
 
 impl fmt::Display for MontgomeryError {
@@ -57,34 +70,44 @@ impl fmt::Display for MontgomeryError {
             MontgomeryError::UnitModulus => {
                 write!(f, "Montgomery modulus must be > 1")
             }
+            MontgomeryError::TooWide { words, width } => {
+                write!(
+                    f,
+                    "a {words}-word modulus does not fit {width}-word storage"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for MontgomeryError {}
 
-/// Precomputed per-modulus constants for Montgomery multiplication.
+/// Precomputed per-modulus constants for Montgomery multiplication over
+/// `L` storage.
 ///
 /// Build once per odd modulus with [`MontgomeryCtx::new`]; every subsequent
-/// [`mul`](MontgomeryCtx::mul)/[`pow`](MontgomeryCtx::pow) reuses the
-/// constants and runs division-free.
+/// [`mul`](MontgomeryCtx::mul)/[`pow_to_mont`](MontgomeryCtx::pow_to_mont)
+/// reuses the constants and runs division-free. With `[u64; N]` storage no
+/// operation allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MontgomeryCtx {
-    /// The modulus `n` (odd, > 1).
-    n: BigUint,
-    /// `n` packed into exactly `s` words (top word non-zero).
-    n_limbs: Vec<u64>,
+pub struct MontgomeryCtx<L: Limbs> {
+    /// The modulus `n` (odd, > 1), zero-extended to the storage width.
+    n: L,
     /// `-n⁻¹ mod 2⁶⁴`, via Hensel/Newton lifting from the low word.
     n0_inv: u64,
-    /// `R² mod n`, padded to `s` words (`R = 2^(64·s)`).
-    r2: Vec<u64>,
-    /// `R mod n`, padded to `s` words — the Montgomery form of `1`.
-    one: Vec<u64>,
+    /// `R² mod n` (`R = 2^(64·s)`): `mul(a, r2)` maps `a` into the domain.
+    r2: L,
+    /// `R³ mod n`: `mul(hi, r3)` is the domain form of `hi·R`, which lets a
+    /// double-width input reduce in two multiplies.
+    r3: L,
 }
 
-impl MontgomeryCtx {
-    /// Builds a context for the odd modulus `n > 1`.
-    pub fn new(n: &BigUint) -> Result<Self, MontgomeryError> {
+impl<L: Limbs> MontgomeryCtx<L> {
+    /// Builds a context for the odd modulus `n > 1` over `width`-word
+    /// storage (a fixed array's width is its length).
+    ///
+    /// Any width that holds `n` is valid; `R` grows with it.
+    pub fn new(n: &BigUint, width: usize) -> Result<Self, MontgomeryError> {
         if n.is_even() {
             // Zero is even, so this also rejects n = 0.
             return Err(MontgomeryError::EvenModulus);
@@ -92,129 +115,231 @@ impl MontgomeryCtx {
         if n.is_one() {
             return Err(MontgomeryError::UnitModulus);
         }
-        let s = n.limbs().len().div_ceil(2);
-        let n_limbs = pack(n, s);
+        let too_wide = MontgomeryError::TooWide {
+            words: words_for(n),
+            width,
+        };
+        let n_limbs: L = limbs_from_biguint(n, width).ok_or(too_wide)?;
+        let s = n_limbs.words().len();
         // Hensel lifting: x ≡ n₀⁻¹ (mod 2^(2^k)) doubles its valid bits per
         // Newton step x ← x·(2 − n₀·x); six steps from x = 1 (exact mod 2
         // since n₀ is odd) reach 64 bits.
-        let n0 = n_limbs[0];
+        let n0 = n_limbs.words().first().copied().unwrap_or(1);
         let mut x: u64 = 1;
         for _ in 0..6 {
             x = x.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(x)));
         }
         debug_assert_eq!(n0.wrapping_mul(x), 1);
-        let n0_inv = x.wrapping_neg();
         // dls-lint: allow(unchecked-arith) -- BigUint shift is arbitrary-precision
         let r2 = &(BigUint::one() << (128 * s)) % n;
-        // dls-lint: allow(unchecked-arith) -- BigUint shift is arbitrary-precision
-        let one = &(BigUint::one() << (64 * s)) % n;
-        Ok(MontgomeryCtx {
-            n: n.clone(),
-            n0_inv,
-            r2: pack(&r2, s),
-            one: pack(&one, s),
-            n_limbs,
-        })
+        let mut ctx = MontgomeryCtx {
+            r2: limbs_from_biguint(&r2, width).expect("R² mod n is below n, which fits"),
+            r3: L::zeroed(width),
+            n0_inv: x.wrapping_neg(),
+            n: n_limbs,
+        };
+        // mul(R², R²) = R⁴·R⁻¹ = R³ (mod n).
+        ctx.r3 = ctx.mul(&ctx.r2, &ctx.r2);
+        Ok(ctx)
     }
 
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &BigUint {
+    /// The modulus as `L` words.
+    pub fn modulus(&self) -> &L {
         &self.n
     }
 
-    /// Operand width in `u64` words (`s`); every Montgomery vector this
-    /// context produces or consumes has exactly this length.
+    /// Operand width in `u64` words (`s`); every operand this context
+    /// produces or consumes has exactly this length.
     pub fn width(&self) -> usize {
-        self.n_limbs.len()
+        self.n.words().len()
     }
 
-    /// Converts `a` into Montgomery form `a·R mod n` (reducing `a` first, so
-    /// `a >= n` is fine).
-    pub fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        let reduced = pack(&(a % &self.n), self.width());
-        self.mul(&reduced, &self.r2)
+    /// `true` iff `a < n`, i.e. `a` is a canonical residue.
+    pub fn is_reduced(&self, a: &L) -> bool {
+        cmp_words(a.words(), self.n.words()) == Ordering::Less
     }
 
-    /// Converts a Montgomery vector back to the canonical integer in `[0, n)`.
-    pub fn from_mont(&self, a: &[u64]) -> BigUint {
-        // Multiplying by the plain integer 1 strips one factor of R.
-        let mut one_int = vec![0u64; self.width()];
-        one_int[0] = 1;
-        unpack(&self.mul(a, &one_int))
-    }
+    /// Montgomery product `a·b·R⁻¹ mod n`, canonical in `[0, n)`.
+    ///
+    /// Requires `a < R` (any stored value) and `b < n`. The working value
+    /// then stays below `a + n < 2R` after every row and ends below
+    /// `(a·b + m·n)/R < 2n`, so its top word is 0 or 1 and one conditional
+    /// subtract canonicalizes (the classical CIOS bound).
+    #[inline]
+    pub fn mul(&self, a: &L, b: &L) -> L {
+        let s = self.width();
+        let mut out = L::zeroed(s);
+        {
+            let n = self.n.words();
+            let (a, b) = (&a.words()[..s], &b.words()[..s]);
+            let t = &mut out.words_mut()[..s];
+            // Word s of the accumulator (0 or 1 between rows); t holds the
+            // words below it.
+            let mut top: u64 = 0;
+            for &bi in b {
+                // Multiply step: t += a · b[i].
+                let bi = bi as u128;
+                let mut carry: u64 = 0;
+                for (tj, &aj) in t.iter_mut().zip(a) {
+                    // (2⁶⁴−1)² + 2·(2⁶⁴−1) = 2¹²⁸−1: the three-term sum fits u128.
+                    let sum = *tj as u128 + aj as u128 * bi + carry as u128;
+                    *tj = sum as u64;
+                    carry = (sum >> 64) as u64;
+                }
+                let (t_s, overflow) = top.overflowing_add(carry);
+                let t_s1 = overflow as u64;
 
-    /// Montgomery product `a·b·R⁻¹ mod n` of two width-`s` vectors.
-    pub fn mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut t = Vec::new();
-        let mut out = vec![0u64; self.width()];
-        self.mul_into(a, b, &mut t, &mut out);
+                // Reduce step: add m·n with m chosen so the low word
+                // cancels, then shift down one word.
+                let m = t[0].wrapping_mul(self.n0_inv) as u128;
+                let sum = t[0] as u128 + m * n[0] as u128;
+                debug_assert_eq!(sum as u64, 0, "low word must cancel");
+                let mut carry = (sum >> 64) as u64;
+                for j in 1..s {
+                    let sum = t[j] as u128 + m * n[j] as u128 + carry as u128;
+                    t[j - 1] = sum as u64;
+                    carry = (sum >> 64) as u64;
+                }
+                let (word, overflow) = t_s.overflowing_add(carry);
+                t[s - 1] = word;
+                // Both addends are at most 1 (CIOS invariant + carry), and
+                // their sum is the top word of a value below 2R, so it is 0
+                // or 1 and the OR is the sum.
+                debug_assert!(t_s1 == 0 || !overflow, "top word exceeds 1");
+                top = t_s1 | overflow as u64;
+            }
+            // Final value is top·R + t < 2n: one conditional subtract.
+            if top != 0 || cmp_words(t, n) != Ordering::Less {
+                let borrow = sub_in_place(t, n);
+                // t < 2n guarantees the borrow is absorbed by the top word.
+                debug_assert_eq!(top, borrow as u64, "reduction must not underflow");
+            }
+        }
         out
     }
 
-    /// CIOS multiply-reduce into `out`, reusing `t` as the working buffer.
-    ///
-    /// `a` and `b` are width-`s` Montgomery vectors (values < n); `out` must
-    /// be width `s` and must not alias `a` or `b`. The working value after
-    /// each outer iteration stays below `2n`, so `t` needs `s + 2` words and
-    /// the top word never exceeds 1 (the classical CIOS bound).
-    fn mul_into(&self, a: &[u64], b: &[u64], t: &mut Vec<u64>, out: &mut [u64]) {
-        let s = self.width();
-        let n = &self.n_limbs[..s];
-        let (a, b, out) = (&a[..s], &b[..s], &mut out[..s]);
-        t.clear();
-        t.resize(s + 2, 0);
-        let t = &mut t[..s + 2];
-        for &bi in b {
-            // Multiply step: t += a · b[i].
-            let bi = bi as u128;
-            let mut carry: u64 = 0;
-            for (tj, &aj) in t.iter_mut().zip(a) {
-                // (2⁶⁴−1)² + 2·(2⁶⁴−1) = 2¹²⁸−1: the three-term sum fits u128.
-                let sum = *tj as u128 + aj as u128 * bi + carry as u128;
-                *tj = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let (sum, overflow) = t[s].overflowing_add(carry);
-            t[s] = sum;
-            t[s + 1] = overflow as u64;
-
-            // Reduce step: add m·n with m chosen so the low word cancels,
-            // then shift down one word.
-            let m = t[0].wrapping_mul(self.n0_inv) as u128;
-            let sum = t[0] as u128 + m * n[0] as u128;
-            debug_assert_eq!(sum as u64, 0, "low word must cancel");
-            let mut carry = (sum >> 64) as u64;
-            for j in 1..s {
-                let sum = t[j] as u128 + m * n[j] as u128 + carry as u128;
-                t[j - 1] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let (sum, overflow) = t[s].overflowing_add(carry);
-            t[s - 1] = sum;
-            // Both addends are at most 1 (CIOS invariant + carry), and their
-            // sum is the top word of a value below 2n < 2^(64·s+1), so it is
-            // 0 or 1 and the OR is the sum.
-            debug_assert!(t[s + 1] == 0 || !overflow, "top word exceeds 1");
-            t[s] = t[s + 1] | overflow as u64;
+    /// `(a + b) mod n` for canonical `a, b < n`.
+    pub fn add(&self, a: &L, b: &L) -> L {
+        let mut out = a.clone();
+        let carry = add_in_place(out.words_mut(), b.words());
+        if carry || !self.is_reduced(&out) {
+            // a + b < 2n, so one subtract lands in [0, n); a carry out of
+            // the top word is absorbed by the borrow.
+            sub_in_place(out.words_mut(), self.n.words());
         }
-        // Final value is t[0..=s] < 2n: one conditional subtract canonicalizes.
-        let ge = t[s] != 0 || cmp_limbs(&t[..s], n) != Ordering::Less;
-        if !ge {
-            out.copy_from_slice(&t[..s]);
-            return;
-        }
-        let mut borrow = false;
-        for ((o, &tj), &nj) in out.iter_mut().zip(t.iter()).zip(n) {
-            let (d, b1) = tj.overflowing_sub(nj);
-            let (d, b2) = d.overflowing_sub(borrow as u64);
-            *o = d;
-            borrow = b1 | b2;
-        }
-        // t < 2n guarantees the final borrow is absorbed by t[s].
-        debug_assert_eq!(t[s], borrow as u64, "reduction must not underflow");
+        out
     }
 
-    /// `base^exp mod n` with a per-call window schedule.
+    /// `(a − b) mod n` for canonical `a, b < n`.
+    pub fn sub(&self, a: &L, b: &L) -> L {
+        let mut out = a.clone();
+        if sub_in_place(out.words_mut(), b.words()) {
+            // a < b: the wrapped difference a − b + R plus n wraps back to
+            // a − b + n ∈ (0, n).
+            add_in_place(out.words_mut(), self.n.words());
+        }
+        out
+    }
+
+    /// The Montgomery form `a·R mod n` of any stored value `a < R`.
+    pub fn to_mont(&self, a: &L) -> L {
+        self.mul(a, &self.r2)
+    }
+
+    /// The canonical integer in `[0, n)` behind the Montgomery form `a`.
+    pub fn from_mont(&self, a: &L) -> L {
+        // Multiplying by the plain integer 1 strips one factor of R.
+        self.mul(a, &self.unit())
+    }
+
+    /// The Montgomery form of `1` (`R mod n`).
+    pub fn one(&self) -> L {
+        self.from_mont(&self.r2)
+    }
+
+    /// The plain integer `1` in this context's storage.
+    fn unit(&self) -> L {
+        let mut u = L::zeroed(self.width());
+        if let Some(w) = u.words_mut().first_mut() {
+            *w = 1;
+        }
+        u
+    }
+
+    /// The Montgomery form of the big-endian integer given as `len` bytes
+    /// (any length, leading zeros allowed), reduced mod `n` without
+    /// division.
+    ///
+    /// The bytes are cut into `s`-word chunks `c_k … c_1 c_0` from the top.
+    /// A single chunk maps in by one multiply by `R²`. Otherwise the top two
+    /// fold as `c_k·R³ + c_(k−1)·R²` (two multiplies: the domain form of
+    /// `c_k·R + c_(k−1)`), and every further chunk `c` shifts the
+    /// accumulator by one more `R` in Horner form, `acc·R² + c·R²`. A
+    /// double-width input — an RSA message under a CRT half — is
+    /// `lo·R² + hi·R³`.
+    ///
+    /// `bytes` must yield exactly `len` bytes, most significant first.
+    pub fn to_mont_be(&self, len: usize, bytes: impl IntoIterator<Item = u8>) -> L {
+        let s = self.width();
+        if len == 0 {
+            return L::zeroed(s);
+        }
+        let chunk_bytes = 8 * s;
+        let mut bytes = bytes.into_iter();
+        let mut next_chunk = |take: usize| -> L {
+            load_be(s, take, bytes.by_ref().take(take)).expect("a chunk fits its width")
+        };
+        // Every chunk below the top one is full; the top one takes the rest.
+        let below = (len - 1) / chunk_bytes;
+        let top_bytes = match len % chunk_bytes {
+            0 => chunk_bytes,
+            r => r,
+        };
+        let top = next_chunk(top_bytes);
+        if below == 0 {
+            return self.mul(&top, &self.r2);
+        }
+        let second = next_chunk(chunk_bytes);
+        let mut acc = self.add(&self.mul(&top, &self.r3), &self.mul(&second, &self.r2));
+        for _ in 1..below {
+            let c = next_chunk(chunk_bytes);
+            acc = self.add(&self.mul(&acc, &self.r2), &self.mul(&c, &self.r2));
+        }
+        acc
+    }
+
+    /// Windowed exponentiation entirely in the Montgomery domain: maps a
+    /// Montgomery-form base (`< n`) to the Montgomery form of `base^exp`.
+    ///
+    /// Staying in the domain lets callers (Miller–Rabin, CRT recombination)
+    /// work on intermediate values without converting back — the
+    /// representation is a bijection, so word equality is value equality.
+    pub fn pow_to_mont(&self, base_mont: &L, windows: &ExpWindows) -> L {
+        let mut ladder = Ladder::new(self, base_mont, windows);
+        while ladder.step() {}
+        ladder.acc
+    }
+
+    /// Two independent [`pow_to_mont`](Self::pow_to_mont)s in lockstep —
+    /// the CRT halves of a signature.
+    ///
+    /// One multiply is a chain of dependent carries, so a lone ladder
+    /// leaves most of the core idle; stepping two ladders in one loop lets
+    /// the out-of-order core overlap each multiply of one with the other's.
+    /// Results are those of two separate calls.
+    pub fn pow_to_mont_pair(
+        (a, a_base, a_exp): (&Self, &L, &ExpWindows),
+        (b, b_base, b_exp): (&Self, &L, &ExpWindows),
+    ) -> (L, L) {
+        let mut la = Ladder::new(a, a_base, a_exp);
+        let mut lb = Ladder::new(b, b_base, b_exp);
+        // `|`, not `||`: both ladders step on every iteration.
+        while la.step() | lb.step() {}
+        (la.acc, lb.acc)
+    }
+
+    /// `base^exp mod n` for `BigUint` operands, with a per-call window
+    /// schedule.
     ///
     /// Matches [`modmath::pow_mod`](crate::modmath::pow_mod) bit-for-bit on
     /// every input (including `base >= n` and `exp = 0`).
@@ -222,88 +347,127 @@ impl MontgomeryCtx {
         self.pow_windows(base, &ExpWindows::new(exp))
     }
 
-    /// `base^exp mod n` with a precomputed window schedule (build once per
-    /// exponent with [`ExpWindows::new`], reuse for every base).
+    /// `base^exp mod n` for a `BigUint` base with a precomputed window
+    /// schedule (build once per exponent with [`ExpWindows::new`], reuse
+    /// for every base).
     pub fn pow_windows(&self, base: &BigUint, windows: &ExpWindows) -> BigUint {
-        let base_mont = self.to_mont(base);
-        let result = self.pow_to_mont(&base_mont, windows);
-        self.from_mont(&result)
+        let base_mont = self.reduce(base);
+        let result = self.from_mont(&self.pow_to_mont(&base_mont, windows));
+        biguint_from_limbs(result.words())
     }
 
-    /// Windowed exponentiation entirely in the Montgomery domain: maps a
-    /// Montgomery-form base to the Montgomery form of `base^exp`.
-    ///
-    /// Staying in the domain lets callers (e.g. Miller–Rabin) compare
-    /// intermediate values against precomputed Montgomery constants without
-    /// converting back — the representation is a bijection, so vector
-    /// equality is value equality.
-    pub fn pow_to_mont(&self, base_mont: &[u64], windows: &ExpWindows) -> Vec<u64> {
-        let s = self.width();
-        debug_assert_eq!(base_mont.len(), s);
-        if windows.ops.is_empty() {
-            // exp = 0: the empty product is 1.
-            return self.one.clone();
-        }
-        // Odd-power table: table[i] = base^(2i+1) in Montgomery form.
-        let sq = self.mul(base_mont, base_mont);
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(TABLE_LEN);
-        table.push(base_mont.to_vec());
-        for i in 1..TABLE_LEN {
-            table.push(self.mul(&table[i - 1], &sq));
-        }
-        // Left-to-right ladder over the schedule; `acc = None` until the
-        // leading window lands (skipping its squarings of 1).
-        let mut t = Vec::new();
-        let mut tmp = vec![0u64; s];
-        let mut acc: Option<Vec<u64>> = None;
-        for op in &windows.ops {
-            match *op {
-                WindowOp::Squares(k) => {
-                    if let Some(cur) = acc.as_mut() {
-                        for _ in 0..k {
-                            self.mul_into(cur, cur, &mut t, &mut tmp);
-                            std::mem::swap(cur, &mut tmp);
-                        }
-                    }
-                }
-                WindowOp::MulOdd(idx) => match acc.as_mut() {
-                    None => acc = Some(table[idx as usize].clone()),
-                    Some(cur) => {
-                        self.mul_into(cur, &table[idx as usize], &mut t, &mut tmp);
-                        std::mem::swap(cur, &mut tmp);
-                    }
-                },
+    /// The Montgomery form of `a mod n` for any `a`.
+    pub fn reduce(&self, a: &BigUint) -> L {
+        let bytes = a.to_bytes_be();
+        self.to_mont_be(bytes.len(), bytes)
+    }
+}
+
+/// `a -= b` over equal-width words; returns the final borrow.
+fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *x = d;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// `a += b` over equal-width words; returns the final carry.
+fn add_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s, c1) = x.overflowing_add(y);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        *x = s;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// A left-to-right fixed-window exponentiation in progress: the odd-power
+/// table, the accumulator, and the steps still to run.
+struct Ladder<'a, L: Limbs> {
+    ctx: &'a MontgomeryCtx<L>,
+    /// `table[i] = base^(2i+1)` in Montgomery form, filled as far as the
+    /// schedule reads it.
+    table: [L; TABLE_LEN],
+    acc: L,
+    steps: std::slice::Iter<'a, u8>,
+}
+
+impl<'a, L: Limbs> Ladder<'a, L> {
+    fn new(ctx: &'a MontgomeryCtx<L>, base_mont: &L, windows: &'a ExpWindows) -> Self {
+        let mut table: [L; TABLE_LEN] = std::array::from_fn(|_| base_mont.clone());
+        if windows.table_len > 1 {
+            let sq = ctx.mul(base_mont, base_mont);
+            for i in 1..windows.table_len.min(TABLE_LEN) {
+                let next = ctx.mul(&table[i - 1], &sq);
+                table[i] = next;
             }
         }
-        acc.expect("non-empty schedule ends with a window")
+        // The leading window's odd power starts the accumulator (its
+        // squarings of 1 are skipped); exp = 0 is the empty product 1.
+        let acc = match windows.first {
+            Some(idx) => table[usize::from(idx)].clone(),
+            None => ctx.one(),
+        };
+        Ladder {
+            ctx,
+            table,
+            acc,
+            steps: windows.steps.iter(),
+        }
+    }
+
+    /// Runs one multiply; `false` once the schedule is done.
+    #[inline]
+    fn step(&mut self) -> bool {
+        let Some(&step) = self.steps.next() else {
+            return false;
+        };
+        let operand = match self.table.get(usize::from(step)) {
+            Some(odd_power) => odd_power,
+            None => &self.acc, // SQUARE
+        };
+        self.acc = self.ctx.mul(&self.acc, operand);
+        true
     }
 }
 
-/// One step of a windowed-exponentiation schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowOp {
-    /// Square the accumulator `k` times.
-    Squares(u32),
-    /// Multiply by the odd power `base^(2i+1)` at table index `i`.
-    MulOdd(u8),
-}
+/// A [`ExpWindows`] step that squares the accumulator; every other step
+/// value is the odd-power table index to multiply by.
+const SQUARE: u8 = u8::MAX;
 
-/// A precomputed fixed-window (w = 4) exponentiation schedule.
+/// A precomputed fixed-window (w = 4) exponentiation schedule, one entry
+/// per multiply.
 ///
 /// Depends only on the exponent, so a key's schedule is built once and
 /// reused for every signature/verification under that key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpWindows {
-    ops: Vec<WindowOp>,
+    /// Table index of the leading window, whose odd power starts the
+    /// ladder; `None` for `exp = 0`.
+    first: Option<u8>,
+    /// The multiplies after it: [`SQUARE`], or a table index `i` to
+    /// multiply by `base^(2i+1)`.
+    steps: Vec<u8>,
+    /// Odd powers the schedule reads (`1 + ` its largest table index):
+    /// `e = 65537` reads only `base¹`, so verification builds no table.
+    table_len: usize,
 }
 
 impl ExpWindows {
     /// Scans `exp` left-to-right into maximal ≤4-bit windows ending in a set
     /// bit, so every window value is odd and the table stays half-size.
     pub fn new(exp: &BigUint) -> Self {
-        let mut ops = Vec::new();
+        let mut first = None;
+        let mut steps = Vec::new();
+        let mut table_len = 0;
         let mut i = exp.bits() as i64 - 1;
-        let mut pending: u32 = 0;
+        let mut pending: usize = 0;
         while i >= 0 {
             if !exp.bit(i as usize) {
                 pending += 1;
@@ -315,68 +479,50 @@ impl ExpWindows {
             while !exp.bit(j as usize) {
                 j += 1;
             }
-            // dls-lint: allow(unchecked-arith) -- j <= i by loop bound, width <= WINDOW_BITS
-            let width = (i - j + 1) as u32;
             let mut u: u8 = 0;
             for k in (j..=i).rev() {
                 u = (u << 1) | exp.bit(k as usize) as u8;
             }
-            // Pending squarings from the zero run fold into the window's own.
-            // dls-lint: allow(unchecked-arith) -- pending + width <= exp.bits() + 4, far below u32::MAX
-            ops.push(WindowOp::Squares(pending + width));
             // u is odd (bit j is set), so u >> 1 indexes the odd-power table.
-            ops.push(WindowOp::MulOdd(u >> 1));
+            let idx = u >> 1;
+            if first.is_none() {
+                first = Some(idx);
+            } else {
+                // Pending squarings from the zero run fold into the
+                // window's own, one per bit of the window.
+                // dls-lint: allow(unchecked-arith) -- j <= i by loop bound, so the window is 1..=WINDOW_BITS bits
+                let squarings = pending + (i - j + 1) as usize;
+                steps.extend(std::iter::repeat_n(SQUARE, squarings));
+                steps.push(idx);
+            }
+            table_len = table_len.max(usize::from(idx) + 1);
             pending = 0;
             i = j - 1;
         }
-        if pending > 0 {
-            ops.push(WindowOp::Squares(pending));
-        }
-        ExpWindows { ops }
-    }
-}
-
-/// Packs `a`'s `u32` limbs two per word (low limb in the low half) into a
-/// fresh width-`s` vector, zero-extended at the top.
-fn pack(a: &BigUint, s: usize) -> Vec<u64> {
-    let limbs = a.limbs();
-    assert!(limbs.len() <= 2 * s, "value wider than the context");
-    let mut out = vec![0u64; s];
-    for (word, pair) in out.iter_mut().zip(limbs.chunks(2)) {
-        let hi = pair.get(1).copied().unwrap_or(0);
-        *word = (hi as u64) << 32 | pair[0] as u64;
-    }
-    out
-}
-
-/// Splits each word back into two `u32` limbs; the inverse of [`pack`].
-fn unpack(words: &[u64]) -> BigUint {
-    let limbs = words
-        .iter()
-        .flat_map(|&w| [w as u32, (w >> 32) as u32])
-        .collect();
-    BigUint::from_limbs_le(limbs)
-}
-
-/// Compares two equal-width little-endian limb slices.
-fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        match x.cmp(y) {
-            Ordering::Equal => continue,
-            ord => return ord,
+        steps.extend(std::iter::repeat_n(SQUARE, pending));
+        ExpWindows {
+            first,
+            steps,
+            table_len,
         }
     }
-    Ordering::Equal
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limbs::{with_limbs, LimbsVisitor, FIXED_WIDTHS};
     use crate::modmath;
+
+    type Dyn = MontgomeryCtx<Vec<u64>>;
 
     fn b(v: u64) -> BigUint {
         BigUint::from(v)
+    }
+
+    /// A context at `n`'s natural width on the `Vec` fallback.
+    fn dyn_ctx(n: &BigUint) -> Dyn {
+        Dyn::new(n, words_for(n)).unwrap()
     }
 
     /// Deterministic pseudo-random value of exactly `bits` bits.
@@ -395,73 +541,56 @@ mod tests {
         out
     }
 
-    #[test]
-    fn rejects_even_and_unit_moduli() {
-        assert_eq!(
-            MontgomeryCtx::new(&BigUint::zero()),
-            Err(MontgomeryError::EvenModulus)
-        );
-        assert_eq!(
-            MontgomeryCtx::new(&b(4096)),
-            Err(MontgomeryError::EvenModulus)
-        );
-        assert_eq!(
-            MontgomeryCtx::new(&BigUint::one()),
-            Err(MontgomeryError::UnitModulus)
-        );
-        assert!(MontgomeryCtx::new(&b(3)).is_ok());
+    fn odd_rnd(bits: usize, seed: u32) -> BigUint {
+        let mut n = rnd(bits, seed);
+        n.set_bit(0, true);
+        n
     }
 
-    #[test]
-    fn n0_inv_is_negative_inverse() {
-        for n in [
-            3u64,
-            17,
-            0xffff_fffb,
-            0x1_0000_0001,
-            12345678901234567,
-            0xffff_ffff_ffff_ffff,
-            0x8000_0000_0000_0001,
-        ] {
-            let ctx = MontgomeryCtx::new(&b(n | 1)).unwrap();
-            let n0 = ctx.n_limbs[0];
-            // n0 · n0_inv ≡ −1 (mod 2⁶⁴).
-            assert_eq!(n0.wrapping_mul(ctx.n0_inv), u64::MAX, "n = {n}");
-        }
+    /// The differential check against `modmath`: conversion in and out of
+    /// the domain, `mul`, `add`, `sub` and `pow` of every base pair under
+    /// `exp`, at whatever storage the visitor runs with.
+    struct Oracle<'a> {
+        n: &'a BigUint,
+        bases: &'a [BigUint],
+        exp: &'a BigUint,
     }
 
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for bits in [1usize, 31, 32, 33, 64, 65, 96, 160, 544] {
-            let a = rnd(bits, 3);
-            let s = a.limbs().len().div_ceil(2);
-            for width in [s, s + 1] {
-                let words = pack(&a, width);
-                assert_eq!(words.len(), width);
-                assert_eq!(unpack(&words), a, "bits {bits} width {width}");
+    impl LimbsVisitor for Oracle<'_> {
+        type Output = ();
+        fn visit<L: Limbs>(self, width: usize) {
+            let Oracle { n, bases, exp } = self;
+            let ctx = MontgomeryCtx::<L>::new(n, width).unwrap();
+            assert_eq!(ctx.width(), width.max(words_for(n)));
+            let r = BigUint::one() << (64 * ctx.width());
+            let big = |w: &L| biguint_from_limbs(w.words());
+            let windows = ExpWindows::new(exp);
+            for a in bases {
+                let am = ctx.reduce(a);
+                assert_eq!(big(&am), modmath::mul_mod(a, &r, n), "to_mont {n} {a}");
+                assert_eq!(big(&ctx.from_mont(&am)), a % n, "from_mont {n} {a}");
+                let oracle = modmath::pow_mod(a, exp, n);
+                assert_eq!(ctx.pow(a, exp), oracle, "pow {n} {a}");
+                assert_eq!(ctx.pow_windows(a, &windows), oracle, "pow_windows {n} {a}");
+                for c in bases {
+                    let cm = ctx.reduce(c);
+                    let prod = big(&ctx.from_mont(&ctx.mul(&am, &cm)));
+                    assert_eq!(prod, modmath::mul_mod(a, c, n), "mul {n} {a} {c}");
+                    let sum = big(&ctx.from_mont(&ctx.add(&am, &cm)));
+                    assert_eq!(
+                        sum,
+                        modmath::add_mod(&(a % n), &(c % n), n),
+                        "add {n} {a} {c}"
+                    );
+                    let diff = big(&ctx.from_mont(&ctx.sub(&am, &cm)));
+                    assert_eq!(
+                        modmath::add_mod(&diff, &(c % n), n),
+                        a % n,
+                        "sub {n} {a} {c}"
+                    );
+                }
             }
         }
-        assert_eq!(pack(&BigUint::zero(), 2), vec![0, 0]);
-    }
-
-    /// Moduli at the word-packing edges: an odd number of `u32` limbs
-    /// (top word half empty), one word below and above 2³², all-ones words
-    /// and `2^(64k−1)+1`.
-    fn edge_moduli() -> Vec<BigUint> {
-        let one = BigUint::one();
-        let mut out = Vec::new();
-        for bits in [96usize, 160, 224, 416, 544] {
-            let mut n = rnd(bits, bits as u32);
-            n.set_bit(0, true);
-            out.push(n);
-        }
-        out.extend([b(3), b(0xffff_fffb), b(4_000_000_007)]);
-        out.extend([b(0x1_0000_000f), b(0x1234_5678_9abc_def1), b(u64::MAX - 58)]);
-        for k in [1usize, 2, 3, 8] {
-            out.push(&(&one << (64 * k)) - &one);
-            out.push(&(&one << (64 * k - 1)) + &one);
-        }
-        out
     }
 
     /// Bases at the edges of `[0, n)` and beyond it.
@@ -479,69 +608,222 @@ mod tests {
         ]
     }
 
+    /// Runs the oracle at the dispatched storage and, at a fixed width, on
+    /// the `Vec` fallback too.
+    fn check_both_storages(n: &BigUint, bases: &[BigUint], exp: &BigUint) {
+        let width = words_for(n);
+        with_limbs(width, Oracle { n, bases, exp });
+        if FIXED_WIDTHS.contains(&width) {
+            Oracle { n, bases, exp }.visit::<Vec<u64>>(width);
+        }
+    }
+
+    #[test]
+    fn rejects_even_and_unit_moduli() {
+        assert_eq!(
+            Dyn::new(&BigUint::zero(), 1).err(),
+            Some(MontgomeryError::EvenModulus)
+        );
+        assert_eq!(
+            Dyn::new(&b(4096), 1).err(),
+            Some(MontgomeryError::EvenModulus)
+        );
+        assert_eq!(
+            Dyn::new(&BigUint::one(), 1).err(),
+            Some(MontgomeryError::UnitModulus)
+        );
+        assert!(Dyn::new(&b(3), 1).is_ok());
+        // The boundary checks the modulus fits the storage.
+        let wide = odd_rnd(200, 1);
+        assert_eq!(
+            MontgomeryCtx::<[u64; 3]>::new(&wide, 3).err(),
+            Some(MontgomeryError::TooWide { words: 4, width: 3 })
+        );
+        assert_eq!(
+            Dyn::new(&wide, 3).err(),
+            Some(MontgomeryError::TooWide { words: 4, width: 3 })
+        );
+    }
+
+    #[test]
+    fn n0_inv_is_negative_inverse() {
+        for n in [
+            3u64,
+            17,
+            0xffff_fffb,
+            0x1_0000_0001,
+            12345678901234567,
+            0xffff_ffff_ffff_ffff,
+            0x8000_0000_0000_0001,
+        ] {
+            let ctx = dyn_ctx(&b(n | 1));
+            let n0 = ctx.n[0];
+            // n0 · n0_inv ≡ −1 (mod 2⁶⁴).
+            assert_eq!(n0.wrapping_mul(ctx.n0_inv), u64::MAX, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn pack_unpack_roundtrip() {
+        for bits in [1usize, 31, 32, 33, 64, 65, 96, 160, 544] {
+            let a = rnd(bits, 3);
+            let s = words_for(&a);
+            for width in [s, s + 1] {
+                let words: Vec<u64> = limbs_from_biguint(&a, width).unwrap();
+                assert_eq!(words.len(), width);
+                assert_eq!(biguint_from_limbs(&words), a, "bits {bits} width {width}");
+            }
+            if s <= 16 {
+                let fixed: [u64; 16] = limbs_from_biguint(&a, 16).unwrap();
+                assert_eq!(biguint_from_limbs(&fixed), a, "bits {bits} fixed");
+            }
+        }
+        let zero: Vec<u64> = limbs_from_biguint(&BigUint::zero(), 2).unwrap();
+        assert_eq!(zero, vec![0, 0]);
+    }
+
+    /// Moduli at the word-packing edges: an odd number of `u32` limbs
+    /// (top word half empty), one word below and above 2³², all-ones words
+    /// and `2^(64k−1)+1`, at fixed and fallback widths.
+    fn edge_moduli() -> Vec<BigUint> {
+        let one = BigUint::one();
+        let mut out = Vec::new();
+        for bits in [96usize, 160, 224, 416, 544] {
+            out.push(odd_rnd(bits, bits as u32));
+        }
+        out.extend([b(3), b(0xffff_fffb), b(4_000_000_007)]);
+        out.extend([b(0x1_0000_000f), b(0x1234_5678_9abc_def1), b(u64::MAX - 58)]);
+        for k in [1usize, 2, 3, 4, 6, 8, 16] {
+            out.push(&(&one << (64 * k)) - &one);
+            out.push(&(&one << (64 * k - 1)) + &one);
+        }
+        out
+    }
+
     #[test]
     fn word_packing_edges_match_modmath() {
         for n in edge_moduli() {
-            let ctx = MontgomeryCtx::new(&n).unwrap();
-            assert_eq!(ctx.width(), n.bits().div_ceil(64), "n = {n}");
-            let r = BigUint::one() << (64 * ctx.width());
-            let exp = rnd(96, 23);
+            check_both_storages(&n, &edge_bases(&n), &rnd(96, 23));
+        }
+    }
+
+    #[test]
+    fn every_fixed_width_and_the_fallback_match_modmath() {
+        // Each monomorphized width, the 2048-bit fallback, and fallback
+        // widths between the fixed ones.
+        for width in FIXED_WIDTHS.into_iter().chain([1, 2, 5, 7, 32]) {
+            for seed in 0..3 {
+                let n = odd_rnd(64 * width - seed as usize, 40 + seed);
+                assert_eq!(words_for(&n), width);
+                let mut bases = edge_bases(&n);
+                bases.extend((0..3).map(|k| rnd(64 * width, 90 + k + seed)));
+                // The oracle's cost grows with the exponent; 128 bits
+                // covers every window shape.
+                check_both_storages(&n, &bases, &rnd(128, 7 + seed));
+            }
+        }
+    }
+
+    #[test]
+    fn storage_wider_than_the_modulus_matches_modmath() {
+        // A 3-word factor in 4-word storage: the CRT halves of a key whose
+        // factors differ in word count share the wider storage.
+        for bits in [130usize, 190, 192] {
+            let n = odd_rnd(bits, bits as u32);
             let bases = edge_bases(&n);
-            for a in &bases {
-                let am = ctx.to_mont(a);
-                assert_eq!(am.len(), ctx.width());
-                let ctx_pow = ctx.pow(a, &exp);
-                assert_eq!(unpack(&am), modmath::mul_mod(a, &r, &n), "to_mont {n} {a}");
-                assert_eq!(ctx.from_mont(&am), a % &n, "from_mont {n} {a}");
-                assert_eq!(ctx_pow, modmath::pow_mod(a, &exp, &n), "pow {n} {a}");
-                for c in &bases {
-                    let prod = ctx.from_mont(&ctx.mul(&am, &ctx.to_mont(c)));
-                    assert_eq!(prod, modmath::mul_mod(a, c, &n), "mul {n} {a} {c}");
+            let exp = rnd(80, 5);
+            Oracle {
+                n: &n,
+                bases: &bases,
+                exp: &exp,
+            }
+            .visit::<[u64; 4]>(4);
+            Oracle {
+                n: &n,
+                bases: &bases,
+                exp: &exp,
+            }
+            .visit::<Vec<u64>>(4);
+        }
+    }
+
+    #[test]
+    fn to_mont_be_reduces_inputs_of_any_length() {
+        for bits in [64usize, 130, 256, 520] {
+            let n = odd_rnd(bits, 3);
+            let ctx = dyn_ctx(&n);
+            let r = BigUint::one() << (64 * ctx.width());
+            // From empty to more than three chunks, with a leading zero
+            // byte on some lengths.
+            for len in 0..(3 * 8 * ctx.width() + 5) {
+                let mut bytes: Vec<u8> = (0..len)
+                    .map(|i| (i as u8).wrapping_mul(151) ^ 0x5a)
+                    .collect();
+                if len % 5 == 0 {
+                    if let Some(first) = bytes.first_mut() {
+                        *first = 0;
+                    }
                 }
+                let a = BigUint::from_bytes_be(&bytes);
+                let am = ctx.to_mont_be(len, bytes.iter().copied());
+                assert_eq!(
+                    biguint_from_limbs(&am),
+                    modmath::mul_mod(&a, &r, &n),
+                    "{bits} bits, {len} bytes"
+                );
             }
         }
     }
 
     #[test]
     fn roundtrip_to_from_mont() {
-        let mut n = rnd(192, 11);
-        n.set_bit(0, true);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
+        let n = odd_rnd(192, 11);
+        with_limbs(
+            3,
+            Oracle {
+                n: &n,
+                bases: &[],
+                exp: &BigUint::one(),
+            },
+        );
+        let ctx = MontgomeryCtx::<[u64; 3]>::new(&n, 3).unwrap();
         for seed in 0..20 {
             let a = rnd(192, 100 + seed);
-            let am = ctx.to_mont(&a);
-            assert_eq!(ctx.from_mont(&am), &a % &n, "seed {seed}");
+            let am = ctx.reduce(&a);
+            assert_eq!(
+                biguint_from_limbs(&ctx.from_mont(&am)),
+                &a % &n,
+                "seed {seed}"
+            );
+            // Any stored value maps in, including a ≥ n.
+            let words: [u64; 3] = limbs_from_biguint(&a, 3).unwrap();
+            assert_eq!(ctx.to_mont(&words), am, "seed {seed}");
         }
     }
 
     #[test]
     fn mul_matches_mul_mod() {
         for bits in [64usize, 96, 192, 512] {
-            let mut n = rnd(bits, 7);
-            n.set_bit(0, true);
-            let ctx = MontgomeryCtx::new(&n).unwrap();
-            for seed in 0..10 {
-                let a = &rnd(bits, 31 + seed) % &n;
-                let c = &rnd(bits, 77 + seed) % &n;
-                let prod = ctx.from_mont(&ctx.mul(&ctx.to_mont(&a), &ctx.to_mont(&c)));
-                assert_eq!(prod, modmath::mul_mod(&a, &c, &n), "bits {bits} seed {seed}");
-            }
+            let n = odd_rnd(bits, 7);
+            let bases: Vec<BigUint> = (0..6).map(|seed| &rnd(bits, 31 + seed) % &n).collect();
+            check_both_storages(&n, &bases, &b(3));
         }
     }
 
     #[test]
     fn pow_matches_pow_mod_random() {
         for bits in [64usize, 128, 384, 1024, 2048] {
-            let mut n = rnd(bits, 5);
-            n.set_bit(0, true);
-            let ctx = MontgomeryCtx::new(&n).unwrap();
+            let n = odd_rnd(bits, 5);
             for seed in 0..4 {
                 let base = rnd(bits, 1000 + seed);
                 let exp = rnd(bits.min(256), 2000 + seed);
-                assert_eq!(
-                    ctx.pow(&base, &exp),
-                    modmath::pow_mod(&base, &exp, &n),
-                    "bits {bits} seed {seed}"
+                with_limbs(
+                    words_for(&n),
+                    Oracle {
+                        n: &n,
+                        bases: &[base],
+                        exp: &exp,
+                    },
                 );
             }
         }
@@ -550,7 +832,7 @@ mod tests {
     #[test]
     fn pow_edge_cases() {
         let n = b(1_000_000_007);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
+        let ctx = dyn_ctx(&n);
         // exp = 0 → 1.
         assert_eq!(ctx.pow(&b(5), &BigUint::zero()), BigUint::one());
         // base >= n reduces first.
@@ -564,14 +846,18 @@ mod tests {
         // base ≡ 0 (mod n).
         assert_eq!(ctx.pow(&n, &b(3)), BigUint::zero());
         // Single-limb modulus, exponent 1.
-        let ctx3 = MontgomeryCtx::new(&b(3)).unwrap();
+        let ctx3 = dyn_ctx(&b(3));
         assert_eq!(ctx3.pow(&b(7), &BigUint::one()), b(1));
+        // The fixed-width kernel agrees on the same cases.
+        let fixed = MontgomeryCtx::<[u64; 3]>::new(&n, 3).unwrap();
+        assert_eq!(fixed.pow(&b(5), &BigUint::zero()), BigUint::one());
+        assert_eq!(fixed.pow(&n, &b(3)), BigUint::zero());
     }
 
     #[test]
     fn pow_fermat() {
         let p = b(1_000_000_007);
-        let ctx = MontgomeryCtx::new(&p).unwrap();
+        let ctx = dyn_ctx(&p);
         for a in [2u64, 3, 65_537, 999_999_999] {
             assert_eq!(ctx.pow(&b(a), &(&p - &b(1))), BigUint::one(), "a = {a}");
         }
@@ -579,11 +865,12 @@ mod tests {
 
     #[test]
     fn window_schedule_reuse_is_consistent() {
-        let mut n = rnd(256, 3);
-        n.set_bit(0, true);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
+        let n = odd_rnd(256, 3);
+        let ctx = MontgomeryCtx::<[u64; 4]>::new(&n, 4).unwrap();
         let exp = b(65_537);
         let windows = ExpWindows::new(&exp);
+        // e = 65537 reads only base¹: no odd-power table is built.
+        assert_eq!(windows.table_len, 1);
         for seed in 0..8 {
             let base = rnd(256, 500 + seed);
             assert_eq!(
@@ -597,14 +884,14 @@ mod tests {
     #[test]
     fn window_schedule_covers_exponent_shapes() {
         // All-ones, single-bit, sparse, and dense exponents exercise every
-        // branch of the window scanner.
-        let mut n = rnd(128, 9);
-        n.set_bit(0, true);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
+        // branch of the window scanner and every table length.
+        let n = odd_rnd(128, 9);
         let exps = [
             BigUint::zero(),
             BigUint::one(),
             b(2),
+            b(3),
+            b(5),
             b(15),
             b(16),
             b(0b1000_0001),
@@ -612,29 +899,24 @@ mod tests {
             BigUint::one() << 127usize,
             b(0xdead_beef_cafe_babe),
         ];
-        for (k, exp) in exps.iter().enumerate() {
-            for seed in 0..3 {
-                let base = rnd(128, 40 + seed);
-                assert_eq!(
-                    ctx.pow(&base, exp),
-                    modmath::pow_mod(&base, exp, &n),
-                    "exp #{k} seed {seed}"
-                );
-            }
+        for exp in &exps {
+            let bases: Vec<BigUint> = (0..3).map(|seed| rnd(128, 40 + seed)).collect();
+            check_both_storages(&n, &bases, exp);
         }
     }
 
     #[test]
     fn pow_to_mont_stays_in_domain() {
         let p = b(1_000_000_007);
-        let ctx = MontgomeryCtx::new(&p).unwrap();
+        let ctx = dyn_ctx(&p);
         let base = b(123_456);
         let exp = b(7919);
-        let bm = ctx.to_mont(&base);
+        let bm = ctx.reduce(&base);
         let rm = ctx.pow_to_mont(&bm, &ExpWindows::new(&exp));
-        // Domain equality: the Montgomery vector of the expected value.
+        // Domain equality: the Montgomery words of the expected value.
         let expected = modmath::pow_mod(&base, &exp, &p);
-        assert_eq!(rm, ctx.to_mont(&expected));
-        assert_eq!(ctx.from_mont(&rm), expected);
+        assert_eq!(rm, ctx.reduce(&expected));
+        assert_eq!(biguint_from_limbs(&ctx.from_mont(&rm)), expected);
+        assert_eq!(ctx.from_mont(&ctx.one()), vec![1]);
     }
 }

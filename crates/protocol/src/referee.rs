@@ -29,22 +29,36 @@ pub enum Phase {
     Payments,
 }
 
-/// Tolerance used when comparing independently computed payment vectors.
-/// All honest processors run the identical deterministic computation, so
-/// honest disagreement is at most a few ULPs; anything beyond this is a
-/// corrupted vector.
+/// `true` when two payment vectors are the same, entry for entry, to the
+/// bit (`f64::to_bits` equality of every compensation and bonus).
 ///
-/// The tolerance is **relative**: a payment difference is accepted when it
-/// is within `PAYMENT_TOLERANCE × max(1, |a|, |b|)` (see
-/// [`payments_agree`]). An absolute `1e-9` cut-off breaks at large
-/// `w`/`z`, where honest payments reach `1e9` and beyond and a few ULPs
-/// of float noise already exceed it; scaling by the magnitude keeps the
-/// check ULP-tight at every scale while remaining absolute (`1e-9`)
-/// around zero.
+/// Payment vectors are compared bitwise, with no tolerance. Every honest
+/// processor and the referee's recomputation call the same
+/// `dls_mechanism::compute_payments` on the same agreed bids and meter
+/// readings, and that computation uses only IEEE-754 `+ − × ÷`, so honest
+/// vectors are identical bits. Any accepted difference is money a deviant
+/// can skim: with a 1e-9 relative tolerance, P1 (whose vector the executor
+/// settles on when all agree) could scale a payment by 1 + 5e-10 unfined.
+pub fn payments_identical(a: &[PaymentEntry], b: &[PaymentEntry]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.compensation.to_bits() == y.compensation.to_bits()
+                && x.bonus.to_bits() == y.bonus.to_bits()
+        })
+}
+
+/// Relative tolerance of [`payments_agree`].
+///
+/// Adjudication does not use it: the referee and the executor compare
+/// payment vectors bitwise ([`payments_identical`]). It remains for
+/// checks outside the protocol that compare a payment with a value
+/// computed along a different floating-point path.
 pub const PAYMENT_TOLERANCE: f64 = 1e-9;
 
-/// `true` when two independently computed payment values agree within the
-/// magnitude-scaled [`PAYMENT_TOLERANCE`].
+/// `true` when two payment values agree within the magnitude-scaled
+/// [`PAYMENT_TOLERANCE`] (absolute `1e-9` around zero, relative above 1).
+///
+/// Not a protocol check; see [`PAYMENT_TOLERANCE`].
 pub fn payments_agree(a: f64, b: f64) -> bool {
     (a - b).abs() <= PAYMENT_TOLERANCE * 1f64.max(a.abs()).max(b.abs())
 }
@@ -345,12 +359,7 @@ impl Referee {
                 continue;
             }
             *prev = true;
-            let ok = body.q.len() == correct.len()
-                && body.q.iter().zip(&correct).all(|(a, b)| {
-                    payments_agree(a.compensation, b.compensation)
-                        && payments_agree(a.bonus, b.bonus)
-                });
-            if !ok {
+            if !payments_identical(&body.q, &correct) {
                 deviants.insert(body.processor);
             }
         }
@@ -376,6 +385,7 @@ mod tests {
     use crate::messages::GrantBody;
     use dls_crypto::pki::KeyPair;
     use dls_crypto::rsa::MIN_MODULUS_BITS;
+    use dls_crypto::VerifyCache;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -783,46 +793,90 @@ mod tests {
         assert_eq!(v.rewards, vec![(2, 20.0)]);
     }
 
-    #[test]
-    fn payment_tolerance_scales_with_magnitude() {
-        // Unit behaviour of the relative comparison: absolute 1e-9 around
-        // zero, relative 1e-9 at scale.
-        assert!(payments_agree(0.0, 5e-10));
-        assert!(!payments_agree(0.0, 5e-9));
-        assert!(payments_agree(1e12, 1e12 + 100.0));
-        assert!(!payments_agree(1e12, 1.001e12));
+    /// The next representable value above a positive finite `x` (what
+    /// `f64::next_up` returns, spelled out for the workspace's MSRV).
+    fn next_up(x: f64) -> f64 {
+        assert!(x.is_finite() && x > 0.0);
+        f64::from_bits(x.to_bits() + 1)
+    }
 
-        // Regression at large w/z: honest payments land far above 1e9,
-        // where a few ULPs of float noise already exceed an absolute
-        // 1e-9 cut-off. The scaled tolerance must accept ULP-level
-        // relative noise and still fine a genuine corruption.
-        let mut rng = StdRng::seed_from_u64(29);
-        let keys: Vec<KeyPair> = (0..3)
-            .map(|i| {
-                KeyPair::generate(format!("P{}", i + 1), MIN_MODULUS_BITS, &mut rng).unwrap()
-            })
+    /// `m` processor keys plus the user's, and a referee over them.
+    fn keyed_referee(m: usize, seed: u64, z: f64, fine: f64) -> (Vec<KeyPair>, Referee) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys: Vec<KeyPair> = (0..m)
+            .map(|i| KeyPair::generate(format!("P{}", i + 1), MIN_MODULUS_BITS, &mut rng).unwrap())
             .collect();
         let user = KeyPair::generate(USER_IDENTITY, MIN_MODULUS_BITS, &mut rng).unwrap();
         let registry = Registry::from_keypairs(keys.iter().chain(std::iter::once(&user)));
-        let bids = vec![1.0e10, 2.0e10, 3.0e10];
-        let z = 2.0e9;
-        let referee = Referee::new(registry, SystemModel::NcpFe, z, 3, 1.0e15, BLOCKS);
-        let params = BusParams::new(z, bids.clone()).unwrap();
+        let referee = Referee::new(registry, SystemModel::NcpFe, z, m, fine, BLOCKS);
+        (keys, referee)
+    }
+
+    fn sign_vectors(keys: &[KeyPair], qs: &[&Vec<PaymentEntry>]) -> Vec<Signed<PaymentVectorBody>> {
+        qs.iter()
+            .enumerate()
+            .map(|(i, q)| {
+                keys[i]
+                    .sign(PaymentVectorBody {
+                        processor: i,
+                        q: (*q).clone(),
+                    })
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn payments_for(z: f64, bids: &[f64]) -> Vec<PaymentEntry> {
+        let params = BusParams::new(z, bids.to_vec()).unwrap();
         let alpha = dls_dlt::optimal::fractions(SystemModel::NcpFe, &params);
-        let correct: Vec<PaymentEntry> =
-            dls_mechanism::compute_payments(SystemModel::NcpFe, &params, &alpha, &bids)
-                .into_iter()
-                .map(|p| PaymentEntry {
-                    compensation: p.compensation,
-                    bonus: p.bonus,
-                })
-                .collect();
+        dls_mechanism::compute_payments(SystemModel::NcpFe, &params, &alpha, bids)
+            .into_iter()
+            .map(|p| PaymentEntry {
+                compensation: p.compensation,
+                bonus: p.bonus,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn payment_ulp_noise_is_fined_at_every_magnitude() {
+        // Bitwise comparison: one ULP, or a sign flip of zero, is a
+        // different vector.
+        let q = vec![PaymentEntry {
+            compensation: 1e12,
+            bonus: 0.0,
+        }];
+        assert!(payments_identical(&q, &q.clone()));
+        let mut moved = q.clone();
+        moved[0].compensation = next_up(1e12);
+        assert!(!payments_identical(&q, &moved));
+        let mut negated = q.clone();
+        negated[0].bonus = -0.0;
+        assert!(!payments_identical(&q, &negated));
+        assert!(!payments_identical(&q, &[]));
+
+        // At large w/z honest payments land far above 1e9. Honest vectors
+        // are the referee's own bits, so they pass; relative noise of
+        // 1e-12 is fined on every vector that carries it.
+        let (keys, referee) = keyed_referee(3, 29, 2.0e9, 1.0e15);
+        let bids = vec![1.0e10, 2.0e10, 3.0e10];
+        let correct = payments_for(2.0e9, &bids);
         assert!(
             correct.iter().any(|e| e.total().abs() > 1.0e9),
             "fixture must exercise the large-magnitude regime: {correct:?}"
         );
-        // Relative noise ~1e-12 (a few ULPs of a long float pipeline) is
-        // absolute noise ~1e-3 here — fatal under the old absolute check.
+        let (verdict, _) = referee
+            .adjudicate_payments(
+                &sign_vectors(&keys, &[&correct, &correct, &correct]),
+                &bids,
+                &bids,
+            )
+            .unwrap();
+        assert!(
+            verdict.fined.is_empty(),
+            "honest vectors fined: {:?}",
+            verdict.fined
+        );
         let noisy: Vec<PaymentEntry> = correct
             .iter()
             .map(|e| PaymentEntry {
@@ -830,35 +884,67 @@ mod tests {
                 bonus: e.bonus * (1.0 + 1e-12),
             })
             .collect();
-        let sign_all = |qs: [&Vec<PaymentEntry>; 3]| -> Vec<Signed<PaymentVectorBody>> {
-            qs.iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    keys[i]
-                        .sign(PaymentVectorBody {
-                            processor: i,
-                            q: (*q).clone(),
-                        })
-                        .unwrap()
-                })
-                .collect()
-        };
         let (verdict, _) = referee
-            .adjudicate_payments(&sign_all([&noisy, &noisy, &noisy]), &bids, &bids)
+            .adjudicate_payments(
+                &sign_vectors(&keys, &[&correct, &noisy, &noisy]),
+                &bids,
+                &bids,
+            )
             .unwrap();
-        assert!(
-            verdict.fined.is_empty(),
-            "ULP-level noise at scale must not be fined: {:?}",
-            verdict.fined
-        );
+        let fined: Vec<usize> = verdict.fined.iter().map(|&(i, _)| i).collect();
+        assert_eq!(fined, vec![1, 2], "ULP-level noise at scale must be fined");
+    }
 
-        // A genuine corruption at the same scale is still caught.
-        let mut corrupt = noisy.clone();
-        corrupt[0].compensation *= 1.001;
-        let (verdict, _) = referee
-            .adjudicate_payments(&sign_all([&noisy, &corrupt, &noisy]), &bids, &bids)
-            .unwrap();
-        assert_eq!(verdict.fined.len(), 1);
-        assert_eq!(verdict.fined[0].0, 1);
+    #[test]
+    fn one_ulp_or_a_sub_tolerance_skim_is_fined_for_every_pair() {
+        // Every (deviant, target) pair at m ∈ {2, 4, 8}: the deviant's
+        // vector moves the target's compensation by one ULP or scales it
+        // by 1 + 5e-10 (half the former tolerance). The referee fines
+        // exactly the deviant, and the executor's all-equal check refuses
+        // to settle on the vectors.
+        for m in [2usize, 4, 8] {
+            let (keys, referee) = keyed_referee(m, 40 + m as u64, 0.2, 10.0);
+            let bids: Vec<f64> = (0..m).map(|i| 1.0 + 0.375 * i as f64).collect();
+            let correct = payments_for(0.2, &bids);
+            let cache = VerifyCache::new();
+            for deviant in 0..m {
+                for target in 0..m {
+                    let skims: [fn(f64) -> f64; 2] = [next_up, |c| c * (1.0 + 5e-10)];
+                    for skim in skims {
+                        let mut bad = correct.clone();
+                        bad[target].compensation = skim(bad[target].compensation);
+                        assert!(!payments_identical(&bad, &correct));
+                        let qs: Vec<&Vec<PaymentEntry>> = (0..m)
+                            .map(|i| if i == deviant { &bad } else { &correct })
+                            .collect();
+                        let vectors = sign_vectors(&keys, &qs);
+                        let (verdict, q) =
+                            referee.adjudicate_payments(&vectors, &bids, &bids).unwrap();
+                        let fined: Vec<usize> = verdict.fined.iter().map(|&(i, _)| i).collect();
+                        assert_eq!(
+                            fined,
+                            vec![deviant],
+                            "m {m} deviant {deviant} target {target}"
+                        );
+                        assert!(payments_identical(&q, &correct));
+                        assert!(!crate::runtime::vectors_all_equal(
+                            &vectors,
+                            m,
+                            &referee,
+                            &cache,
+                            crate::config::CryptoProfile::Amortized,
+                        ));
+                    }
+                }
+            }
+            let honest = sign_vectors(&keys, &vec![&correct; m]);
+            assert!(crate::runtime::vectors_all_equal(
+                &honest,
+                m,
+                &referee,
+                &cache,
+                crate::config::CryptoProfile::Amortized,
+            ));
+        }
     }
 }

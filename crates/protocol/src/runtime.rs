@@ -838,7 +838,8 @@ pub(crate) fn verify_profiled<'a, T: serde::Serialize>(
 }
 
 /// Equality check across submitted payment vectors: requires a verified
-/// vector from each of the `m` processors, all numerically equal.
+/// vector from each of the `m` processors, all bitwise identical
+/// ([`payments_identical`](crate::referee::payments_identical)).
 pub(crate) fn vectors_all_equal(
     vectors: &[Signed<PaymentVectorBody>],
     m: usize,
@@ -846,7 +847,7 @@ pub(crate) fn vectors_all_equal(
     cache: &VerifyCache,
     profile: CryptoProfile,
 ) -> bool {
-    use crate::referee::payments_agree;
+    use crate::referee::payments_identical;
     let mut per_proc: Vec<Option<&PaymentVectorBody>> = vec![None; m];
     for sv in vectors {
         let Ok(body) = verify_profiled(sv, referee.registry(), cache, profile) else {
@@ -864,16 +865,9 @@ pub(crate) fn vectors_all_equal(
     let Some(first) = per_proc.first().and_then(|b| *b) else {
         return false;
     };
-    per_proc.iter().all(|b| match b {
-        Some(body) => {
-            body.q.len() == first.q.len()
-                && body.q.iter().zip(&first.q).all(|(a, b)| {
-                    payments_agree(a.compensation, b.compensation)
-                        && payments_agree(a.bonus, b.bonus)
-                })
-        }
-        None => false,
-    })
+    per_proc
+        .iter()
+        .all(|b| b.is_some_and(|body| payments_identical(&body.q, &first.q)))
 }
 
 pub(crate) fn verify_bid_view(

@@ -23,6 +23,12 @@ fn arb_behavior(m: usize) -> impl Strategy<Value = Behavior> {
             .prop_map(|(victim, excess)| Behavior::OverAllocate { victim, excess }),
         1 => (0..m, 1.5f64..4.0)
             .prop_map(|(target, factor)| Behavior::CorruptPayments { target, factor }),
+        // Skims in (1, 1 + 1e-6]: factors 1 + u·10^-k for u in [1, 2) and
+        // k in 7..=15, down to a few ULPs of 1. Payment vectors are
+        // compared bitwise, so each is still a detectable offence.
+        1 => (0..m, 1.0f64..2.0, 7i32..16).prop_map(|(target, u, k)| {
+            Behavior::CorruptPayments { target, factor: 1.0 + u * 10f64.powi(-k) }
+        }),
         1 => Just(Behavior::FalselyAccuseAllocation),
         1 => (0..m).prop_map(|impersonate| Behavior::ForgeExtraBid { impersonate }),
     ]
@@ -146,6 +152,48 @@ proptest! {
             if p.config.behavior == Behavior::Compliant {
                 prop_assert!(p.fined == 0.0, "compliant P{} fined", i + 1);
                 prop_assert!(p.rewarded >= 0.0);
+            }
+        }
+    }
+}
+
+/// A skim far below any float-noise tolerance is still fined: for every
+/// (deviant, target) pair at m ∈ {2, 4, 8}, a deviant scaling the target's
+/// compensation by 1 + 5e-10 (half the former 1e-9 tolerance) is the only
+/// processor fined, and the skim leaves it worse off than compliance.
+#[test]
+fn sub_tolerance_payment_skims_are_fined_for_every_pair() {
+    for m in [2usize, 4, 8] {
+        let session = |behaviors: &dyn Fn(usize) -> Behavior| {
+            let cfg = SessionConfig::builder(SystemModel::NcpFe, 0.2)
+                .processors(
+                    (0..m).map(|i| ProcessorConfig::new(1.0 + 0.375 * i as f64, behaviors(i))),
+                )
+                .seed(7)
+                .blocks(12)
+                .build()
+                .unwrap();
+            run_session_vm(&cfg).unwrap()
+        };
+        let honest = session(&|_| Behavior::Compliant);
+        assert_eq!(honest.status, SessionStatus::Completed);
+        for deviant in 0..m {
+            for target in 0..m {
+                let skim = Behavior::CorruptPayments {
+                    target,
+                    factor: 1.0 + 5e-10,
+                };
+                let out = session(&|i| {
+                    if i == deviant {
+                        skim
+                    } else {
+                        Behavior::Compliant
+                    }
+                });
+                let cell = format!("m {m} deviant P{} target P{}", deviant + 1, target + 1);
+                assert_eq!(out.fined_processors(), vec![deviant], "{cell}");
+                assert!(out.utility(deviant) < honest.utility(deviant), "{cell}");
+                assert!(out.ledger.conservation_error().abs() < 1e-9, "{cell}");
             }
         }
     }

@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dls_crypto::pki::{KeyPair, Registry};
-use dls_crypto::{rsa, sha256, VerifyCache};
+use dls_crypto::rsa::RawSignature;
+use dls_crypto::{rsa, sha256, Signed, VerifyCache};
 use dls_protocol::blocks::{DataSet, USER_IDENTITY};
-use dls_protocol::messages::{BidBody, GrantBody};
+use dls_protocol::messages::{BidBody, GrantBody, PaymentEntry, PaymentVectorBody};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -95,6 +96,45 @@ fn bench_envelope(c: &mut Criterion) {
     g.finish();
 }
 
+/// `Signed::seal` with a signer that returns a fixed signature, so only
+/// the canonical encode and the SHA-256 of the body are timed: a bid, a
+/// grant of 24 user-signed 32-byte blocks, and an m = 8 payment vector.
+/// The body is sealed by reference, so no body clone is in the number.
+fn bench_seal(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crypto/seal");
+    let mut rng = StdRng::seed_from_u64(22);
+    let bits = rsa::DEFAULT_MODULUS_BITS;
+    let user = KeyPair::generate(USER_IDENTITY, bits, &mut rng).unwrap();
+    let sig = RawSignature(vec![0xab; bits / 8]);
+    let bid = BidBody {
+        processor: 0,
+        bid: 2.25,
+    };
+    let grant = GrantBody {
+        to: 1,
+        blocks: DataSet::prepare(&user, 24, 32).unwrap().blocks().to_vec(),
+    };
+    let pv = PaymentVectorBody {
+        processor: 3,
+        q: (0..8)
+            .map(|i| PaymentEntry {
+                compensation: 1.0 + i as f64 / 8.0,
+                bonus: 0.125 * i as f64,
+            })
+            .collect(),
+    };
+    g.bench_function("bid", |b| {
+        b.iter(|| black_box(Signed::seal(&bid, "P1", |_| sig.clone()).unwrap()))
+    });
+    g.bench_function("grant24", |b| {
+        b.iter(|| black_box(Signed::seal(&grant, "P1", |_| sig.clone()).unwrap()))
+    });
+    g.bench_function("pv8", |b| {
+        b.iter(|| black_box(Signed::seal(&pv, "P4", |_| sig.clone()).unwrap()))
+    });
+    g.finish();
+}
+
 fn bench_keygen(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto/keygen");
     g.sample_size(10);
@@ -114,6 +154,7 @@ criterion_group!(
     bench_sha256,
     bench_sign_verify,
     bench_envelope,
+    bench_seal,
     bench_keygen
 );
 criterion_main!(benches);

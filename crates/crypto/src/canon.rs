@@ -45,6 +45,20 @@ impl ser::Error for CanonError {
     }
 }
 
+/// A borrowed byte string that encodes as one framed byte string (tag
+/// `0x07`, a u64 big-endian length, the raw bytes) instead of as a
+/// sequence of integers, which costs nine bytes per byte. Signatures and
+/// block payloads enter signed bodies through this adapter; a plain
+/// `Vec<u8>` still encodes as a sequence.
+#[derive(Debug, Clone, Copy)]
+pub struct Bytes<'a>(pub &'a [u8]);
+
+impl Serialize for Bytes<'_> {
+    fn serialize<S: ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(self.0)
+    }
+}
+
 /// Encodes `value` to canonical bytes.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CanonError> {
     let mut ser = CanonSerializer { out: Vec::new() };
@@ -485,6 +499,9 @@ mod tests {
         let a = to_bytes(&Two("ab".into(), "c".into())).unwrap();
         let b = to_bytes(&Two("a".into(), "bc".into())).unwrap();
         assert_ne!(a, b);
+        let a = to_bytes(&(Bytes(b"ab"), Bytes(b"c"))).unwrap();
+        let b = to_bytes(&(Bytes(b"a"), Bytes(b"bc"))).unwrap();
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -528,6 +545,21 @@ mod tests {
             to_bytes(&vec![1u32, 2]).unwrap(),
             to_bytes(&[1u32, 2][..]).unwrap()
         );
+    }
+
+    #[test]
+    fn byte_strings_encode_as_framed_raw_bytes() {
+        // Tag 0x07, u64 big-endian length, the raw bytes.
+        assert_eq!(
+            to_bytes(&Bytes(b"ab")).unwrap(),
+            [0x07, 0, 0, 0, 0, 0, 0, 0, 2, b'a', b'b']
+        );
+        assert_eq!(to_bytes(&Bytes(b"")).unwrap(), [0x07, 0, 0, 0, 0, 0, 0, 0, 0]);
+        // A plain `Vec<u8>` stays a sequence of u8 integers (9 bytes each).
+        let seq = to_bytes(&vec![b'a', b'b']).unwrap();
+        assert_eq!(seq.len(), 1 + 8 + 2 * 9 + 1);
+        assert_eq!(seq[0], 0x0d);
+        assert_ne!(seq, to_bytes(&Bytes(b"ab")).unwrap());
     }
 
     #[test]

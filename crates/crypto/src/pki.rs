@@ -158,7 +158,7 @@ impl<T: Serialize> Serialize for Signed<T> {
         let mut s = serializer.serialize_struct("Signed", 3)?;
         s.serialize_field("body", &self.body)?;
         s.serialize_field("signer", &self.signer)?;
-        s.serialize_field("signature", &self.signature.0)?;
+        s.serialize_field("signature", &self.signature)?;
         s.end()
     }
 }

@@ -109,6 +109,14 @@ impl fmt::Debug for SecretKey {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RawSignature(pub Vec<u8>);
 
+// A signature nested in a signed body (a block inside a grant, quoted
+// evidence) encodes as one framed byte string, not as a byte sequence.
+impl serde::Serialize for RawSignature {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        crate::canon::Bytes(&self.0).serialize(serializer)
+    }
+}
+
 impl PublicKey {
     /// Modulus size in bytes (`k` in PKCS#1 terms).
     pub fn modulus_len(&self) -> usize {

@@ -150,6 +150,28 @@ proptest! {
     }
 
     #[test]
+    fn adjacent_byte_fields_never_collide(
+        joined in prop::collection::vec(any::<u8>(), 0..24),
+        i in any::<prop::sample::Index>(),
+        j in any::<prop::sample::Index>(),
+        other in prop::collection::vec(any::<u8>(), 0..24),
+    ) {
+        // Two adjacent byte strings split from one buffer at i and at j:
+        // the pairs differ exactly when the split points do, and the length
+        // frames must keep their encodings apart.
+        let (i, j) = (i.index(joined.len() + 1), j.index(joined.len() + 1));
+        let pair = |a: &[u8], b: &[u8]| {
+            canon::to_bytes(&(canon::Bytes(a), canon::Bytes(b))).unwrap()
+        };
+        let at_i = pair(&joined[..i], &joined[i..]);
+        let at_j = pair(&joined[..j], &joined[j..]);
+        prop_assert_eq!(at_i == at_j, i == j);
+        // And against an unrelated second field.
+        let mixed = pair(&joined[..i], &other);
+        prop_assert_eq!(at_i == mixed, joined[i..] == other[..]);
+    }
+
+    #[test]
     fn canon_injective_on_samples(p in arb_payload(), q in arb_payload()) {
         let bp = canon::to_bytes(&p).unwrap();
         let bq = canon::to_bytes(&q).unwrap();

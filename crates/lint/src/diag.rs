@@ -12,6 +12,7 @@ pub fn pass_of(rule: &str) -> &'static str {
         crate::rules::STATE_MACHINE => "state-machine",
         crate::rules::LOCK_ORDER => "lock-order",
         crate::rules::UNCHECKED_ARITH => "unchecked-arith",
+        crate::rules::PORTABLE_FLOAT => "portable-float",
         _ => "core",
     }
 }

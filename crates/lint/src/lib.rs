@@ -16,7 +16,7 @@
 //!   and `#![warn(missing_docs)]`; member manifests resolve dependencies
 //!   through `[workspace.dependencies]` and inherit `[workspace.lints]`.
 //!
-//! Plus four cross-file passes (see [`passes`]) guarding the dynamic
+//! Plus five cross-file passes (see [`passes`]) guarding the dynamic
 //! invariants the executor differential only samples:
 //!
 //! * **determinism** — no wall-clock reads, sleeps or unordered
@@ -29,6 +29,8 @@
 //!   be cycle-free.
 //! * **unchecked-arith** — no bare `+ - * <<` on integer limbs in the
 //!   bignum kernels outside wrapping/checked/widening forms.
+//! * **portable-float** — no `mul_add` or libm transcendental on the
+//!   payment path, whose vectors honest nodes compare with `to_bits`.
 //!
 //! Violations are burned down explicitly with
 //! `// dls-lint: allow(<rule>) -- <reason>`; the reason is mandatory and

@@ -4,10 +4,11 @@
 //! dls-lint [--json] [--root <dir>] [--baseline <file>] [--rules] [--help]
 //! ```
 //!
-//! Runs the per-file rules (floats, panics, crate hygiene) plus the four
+//! Runs the per-file rules (floats, panics, crate hygiene) plus the five
 //! cross-file analysis passes (determinism, state-machine, lock-order,
-//! unchecked-arith). With `--baseline`, findings recorded in the given
-//! `lint_baseline.json` are reported but do not affect the exit status.
+//! unchecked-arith, portable-float). With `--baseline`, findings recorded
+//! in the given `lint_baseline.json` are reported but do not affect the
+//! exit status.
 //!
 //! Exit status: `0` clean, `1` violations found, `2` usage or I/O error.
 
@@ -55,7 +56,8 @@ fn main() -> ExitCode {
                      collections in virtual-time modules), state-machine \
                      (executor phase-order spec), lock-order (deadlock \
                      cycles in the service and session caches), unchecked-arith (bare \
-                     operators in the bignum limb kernels).\n\
+                     operators in the bignum limb kernels), portable-float \
+                     (mul_add and libm calls on the payment path).\n\
                      Suppress a finding with `// dls-lint: allow(<rule>) -- <reason>`;\n\
                      --baseline accepts findings listed in a lint_baseline.json."
                 );

@@ -18,6 +18,9 @@
 //! * [`arith`] — exact payment agreement is only as sound as the bignum
 //!   limb kernels; a silently wrapping `+` would corrupt `Q_i` bit-exactly
 //!   on every honest node at once.
+//! * [`float_ops`] — payment vectors are compared with `to_bits`, so the
+//!   float path from bids to `Q_i` may use only correctly rounded
+//!   operations: no `mul_add`, no libm transcendentals.
 //!
 //! A pass pushes raw diagnostics tagged with the source-file index; the
 //! engine in `lib.rs` applies suppressions and directive hygiene
@@ -26,6 +29,7 @@
 
 pub mod arith;
 pub mod determinism;
+pub mod float_ops;
 pub mod lock_order;
 pub mod state_machine;
 
@@ -38,11 +42,12 @@ pub const PASS_NAMES: &[&str] = &[
     "state-machine",
     "lock-order",
     "unchecked-arith",
+    "portable-float",
 ];
 
 /// Runs every pass over the snapshot. Returns the names of the passes that
 /// found at least one scoped file and actually analyzed something (the gate
-/// asserts all four activate on the real workspace).
+/// asserts all five activate on the real workspace).
 pub(crate) fn run_all(
     files: &[SourceFile],
     out: &mut Vec<(usize, Diagnostic)>,
@@ -59,6 +64,9 @@ pub(crate) fn run_all(
     }
     if arith::run(files, out) {
         ran.push("unchecked-arith");
+    }
+    if float_ops::run(files, out) {
+        ran.push("portable-float");
     }
     ran
 }

@@ -38,6 +38,9 @@ pub const LOCK_ORDER: &str = "lock-order";
 /// Cross-file rule: bare integer arithmetic is forbidden in the bignum limb
 /// kernels outside wrapping/checked/widening forms.
 pub const UNCHECKED_ARITH: &str = "unchecked-arith";
+/// Cross-file rule: fused multiply-add and libm transcendentals are
+/// forbidden on the payment path.
+pub const PORTABLE_FLOAT: &str = "portable-float";
 
 /// All rule names, for `--rules` listing and directive validation.
 pub const ALL_RULES: &[(&str, &str)] = &[
@@ -92,6 +95,16 @@ pub const ALL_RULES: &[(&str, &str)] = &[
          accumulators; exact payment agreement must not silently wrap",
     ),
     (
+        PORTABLE_FLOAT,
+        "mul_add and the libm transcendentals (powf, powi, exp*, ln*, log*, \
+         trigonometric and hyperbolic functions, cbrt, hypot) are forbidden on \
+         the payment path (dlt/src/{model,loo,optimal,chain}.rs, \
+         mechanism/src/{market,multiload}.rs, \
+         protocol/src/{referee,runtime,executor}.rs); payment vectors are \
+         compared with to_bits, so only correctly rounded operations \
+         (+ - * / sqrt) may feed them",
+    ),
+    (
         BAD_SUPPRESSION,
         "a `// dls-lint:` directive could not be parsed (every allow needs \
          `(<rule>)` and a ` -- <reason>`)",
@@ -111,6 +124,7 @@ pub fn is_known_rule(name: &str) -> bool {
         || name == STATE_MACHINE
         || name == LOCK_ORDER
         || name == UNCHECKED_ARITH
+        || name == PORTABLE_FLOAT
 }
 
 /// Paths (workspace-relative, unix separators) covered by
@@ -203,6 +217,7 @@ pub(crate) fn rule_evaluated_for(rule: &str, rel_path: &str) -> bool {
         || (rule == STATE_MACHINE && crate::passes::state_machine::in_scope(rel_path))
         || (rule == LOCK_ORDER && crate::passes::lock_order::in_scope(rel_path))
         || (rule == UNCHECKED_ARITH && crate::passes::arith::in_scope(rel_path))
+        || (rule == PORTABLE_FLOAT && crate::passes::float_ops::in_scope(rel_path))
 }
 
 /// Returns a sorted list of `(start_line, end_line)` ranges (inclusive)

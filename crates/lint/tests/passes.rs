@@ -1,5 +1,6 @@
-//! Fixture-driven tests for the four cross-file analysis passes
-//! (determinism, state-machine, lock-order, unchecked-arith), the lexer's
+//! Fixture-driven tests for the five cross-file analysis passes
+//! (determinism, state-machine, lock-order, unchecked-arith,
+//! portable-float), the lexer's
 //! adversarial corners they depend on, and a self-check that the analyzer
 //! source itself scans clean.
 
@@ -195,6 +196,59 @@ fn arith_widening_is_relative_to_the_limb_width() {
     // biguint.rs keeps u32 limbs, where `as u64` is a genuine widening.
     let report = run("crates/num/src/biguint.rs", "arith_limb_width.rs");
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+}
+
+// ---------------------------- portable-float ---------------------------
+
+/// Golden `(line, message prefix)` list for `float_ops_hit.rs`: every
+/// banned form fires exactly once, and no lookalike does.
+const FLOAT_OPS_GOLDEN: &[(usize, &str)] = &[
+    (7, "`mul_add` on the payment path: fused multiply-add"),
+    (8, "`powf` on the payment path: libm transcendental"),
+    (8, "`powi` on the payment path: libm transcendental"),
+    (9, "`exp` on the payment path: libm transcendental"),
+    (9, "`ln` on the payment path: libm transcendental"),
+    (10, "`log10` on the payment path: libm transcendental"),
+    (10, "`log` on the payment path: libm transcendental"),
+    (11, "`sin` on the payment path: libm transcendental"),
+    (11, "`tanh` on the payment path: libm transcendental"),
+    (12, "`cbrt` on the payment path: libm transcendental"),
+    (12, "`hypot` on the payment path: libm transcendental"),
+    (14, "`exp_m1` on the payment path: libm transcendental"),
+    (15, "`ln_1p` on the payment path: libm transcendental"),
+];
+
+#[test]
+fn portable_float_golden_on_the_payment_path() {
+    for rel in [
+        "crates/protocol/src/referee.rs",
+        "crates/dlt/src/model.rs",
+        "crates/dlt/src/loo.rs",
+        "crates/mechanism/src/market.rs",
+    ] {
+        let report = run(rel, "float_ops_hit.rs");
+        let got: Vec<(usize, &str)> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.line, d.message.as_str()))
+            .collect();
+        assert_eq!(got.len(), FLOAT_OPS_GOLDEN.len(), "{rel}: {:#?}", report.diagnostics);
+        for ((line, msg), (want_line, want_prefix)) in got.iter().zip(FLOAT_OPS_GOLDEN) {
+            assert_eq!(line, want_line, "{rel}: {msg}");
+            assert!(msg.starts_with(want_prefix), "{rel}: line {line}: {msg}");
+        }
+        assert!(report.diagnostics.iter().all(|d| d.rule == "portable-float"));
+        assert!(report.passes_run.contains(&"portable-float"));
+        // The one suppressed `mul_add` at the end of the fixture.
+        assert_eq!(report.suppressed, 1, "{rel}");
+    }
+}
+
+#[test]
+fn portable_float_ignores_files_off_the_payment_path() {
+    let report = run("crates/netsim/src/gantt.rs", "float_ops_hit.rs");
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+    assert!(!report.passes_run.contains(&"portable-float"));
 }
 
 // ------------------------- lexer adversarial ---------------------------

@@ -2,6 +2,7 @@
 //! `S_user(B, I_B)` (Initialization phase), plus the integer block
 //! allocation derived from the real-valued fractions.
 
+use dls_crypto::canon::Bytes;
 use dls_crypto::pki::{KeyPair, Registry, SignatureError};
 use dls_crypto::Signed;
 use serde::Serialize;
@@ -14,12 +15,25 @@ pub const USER_IDENTITY: &str = "user";
 /// The payload is synthetic (the computation itself is simulated) but real
 /// bytes flow through the signature machinery, so integrity failures are
 /// detectable exactly as in the paper.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Unique block identifier `I_B`.
     pub id: u64,
     /// Payload bytes.
     pub payload: Vec<u8>,
+}
+
+// Hand-written only so the payload encodes as one framed byte string
+// (`canon::Bytes`); the struct name, field names and order are the
+// derived form's.
+impl Serialize for Block {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut s = serializer.serialize_struct("Block", 2)?;
+        s.serialize_field("id", &self.id)?;
+        s.serialize_field("payload", &Bytes(&self.payload))?;
+        s.end()
+    }
 }
 
 /// A user-signed block.

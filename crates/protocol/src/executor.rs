@@ -34,9 +34,13 @@
 //! * **frozen outcome digests** — SHA-256 of the `Debug` rendering of
 //!   every outcome in the differential matrix
 //!   (`tests/tests/executor_differential.rs`, plus this module's unit
-//!   tests), recorded while a separate thread-per-party runtime still ran
-//!   beside this one and agreed with it bit for bit. The single-session
-//!   path and the service under both placements must reproduce them;
+//!   tests), first recorded while a separate thread-per-party runtime
+//!   still ran beside this one and agreed with it bit for bit. When the
+//!   wire encoding of byte strings changed, every digest whose message
+//!   byte counts moved was re-frozen from this executor, after a
+//!   wire-neutral digest of the same outcomes held unchanged. The
+//!   single-session path and the service under both placements must
+//!   reproduce them;
 //! * **the trusted market** — `dls_mechanism::Market::run` on the same
 //!   rates gives the payments a compliant session must reach
 //!   (`tests/tests/end_to_end.rs`);
@@ -151,12 +155,17 @@ fn sign_cached<T: Serialize>(
             return sig.clone();
         }
         let sig = key.sign_digest(digest);
-        let mut guard = SIGS.lock();
-        let cache = guard.get_or_insert_with(SigCache::new);
-        if cache.len() >= SIG_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(cache_key, sig.clone());
+        // At the cap the full map is taken out under the lock and dropped
+        // after the guard is released: freeing 65 536 entries takes
+        // milliseconds, and every other signer would wait on it.
+        let evicted = {
+            let mut guard = SIGS.lock();
+            let cache = guard.get_or_insert_with(SigCache::new);
+            let evicted = (cache.len() >= SIG_CACHE_CAP).then(|| std::mem::take(cache));
+            cache.insert(cache_key, sig.clone());
+            evicted
+        };
+        drop(evicted);
         sig
     })
     .map_err(|e| RunError::Crypto(e.to_string()))
@@ -1412,19 +1421,26 @@ mod tests {
     // from the thread-per-party runtime (one OS thread per processor and
     // one for the referee, condvar phase barriers), which these tests then
     // asserted bit-identical to this executor. That runtime has since been
-    // removed; its outcomes stay pinned here.
+    // removed; its outcomes stay pinned here. The three sessions that send
+    // grants were re-frozen from this executor when signatures and block
+    // payloads started to encode as framed byte strings, which moved only
+    // their message byte counts: those three constants hold this
+    // executor's values, not the removed runtime's, and keep the name of
+    // the tests they pin.
     /// All compliant (the per-receiver profile renders the same outcome).
+    /// Re-frozen from this executor.
     const THREADED_TRUTHFUL: &str =
-        "0efffc39431a12310978176d4685289d5c17cace67ad87ec6d25a57861fdf90f";
-    /// All compliant, P3 crashes at Bidding.
+        "0c78fc8548bcc6d0a2a4a49ffe5f520d06247c966e5491db136bfcdaade52f49";
+    /// All compliant, P3 crashes at Bidding. Re-frozen from this executor.
     const THREADED_CRASH_BIDDING: &str =
-        "ce55b01a76813df062eebcbea00c403db457c177534b617430a8331351baa606";
+        "a655d7332de7768131227a3e240d87f10e7ed1fc406527705b7731b75a6bf45f";
     /// P1 equivocates (factor 1.5), per-receiver profile.
     const THREADED_EQUIVOCATE_PER_RECEIVER: &str =
         "9d49461ea4759fd26e16f9a800f2057b791c30f03a299696cdfb868c8a48eb33";
     /// P2 corrupts P1's payment (factor 0.25), per-receiver profile.
+    /// Re-frozen from this executor.
     const THREADED_CORRUPT_PAYMENTS_PER_RECEIVER: &str =
-        "8acde849ebd0c712bc83565c13c5be94da4dacf4205d065e326dfbe5d10b3957";
+        "51b6c9e813ca0b584f253cb365ed3e808a6fc5d49697c9aefe45477e7ff3119b";
 
     #[test]
     fn truthful_session_matches_threaded_bit_for_bit() {

@@ -285,6 +285,84 @@ mod tests {
         assert!(big.wire_size() > meters.wire_size());
     }
 
+    // Encoded sizes from the canonical tag layout, written out by hand so
+    // the size oracle below shares no code with the encoder: a tag is one
+    // byte, lengths and counts are u64 (8 bytes), a string is its length
+    // plus its bytes, a byte string is tag + length + raw bytes.
+    const TAG: usize = 1;
+    const U64: usize = 8;
+    fn string(s: &str) -> usize {
+        U64 + s.len()
+    }
+    fn struct_header(name: &str) -> usize {
+        TAG + string(name) + U64
+    }
+    fn byte_string(n: usize) -> usize {
+        TAG + U64 + n
+    }
+    /// `Signed { body, signer, signature }` around a `body_len`-byte body.
+    fn envelope(body_len: usize, signer: &str, sig_len: usize) -> usize {
+        struct_header("Signed")
+            + string("body")
+            + body_len
+            + string("signer")
+            + TAG
+            + string(signer)
+            + string("signature")
+            + byte_string(sig_len)
+    }
+
+    fn signed_block(id: u64, payload: usize, sig: usize) -> SignedBlock {
+        let block = crate::blocks::Block {
+            id,
+            payload: vec![0x5a; payload],
+        };
+        Signed::forge(block, crate::blocks::USER_IDENTITY, vec![0xab; sig])
+    }
+
+    #[test]
+    fn signed_block_costs_one_byte_per_payload_and_signature_byte() {
+        // Block { id: u64, payload: bytes }.
+        let block = |p: usize| {
+            struct_header("Block") + string("id") + TAG + U64 + string("payload") + byte_string(p)
+        };
+        let c = envelope(block(0), crate::blocks::USER_IDENTITY, 0);
+        assert_eq!(c, 153, "hand-derived constant for the \"user\" signer");
+        for (p, k) in [(0, 0), (1, 48), (16, 64), (64, 48), (200, 128)] {
+            let env = signed_block(7, p, k);
+            let encoded = dls_crypto::canon::to_bytes(&env).expect("encodes");
+            assert_eq!(encoded.len(), p + k + c, "payload {p}, signature {k}");
+            assert_eq!(env.encoded_len().expect("encodes"), block(p));
+        }
+    }
+
+    #[test]
+    fn grant_size_is_linear_in_its_block_count() {
+        let (p, k) = (16, 48);
+        let per_block = p + k + 153;
+        // GrantBody { to: usize, blocks: seq of signed blocks, END }.
+        let grant = |b: usize| {
+            struct_header("GrantBody")
+                + string("to")
+                + TAG
+                + U64
+                + string("blocks")
+                + TAG
+                + U64
+                + b * per_block
+                + TAG
+        };
+        for b in [0, 1, 2, 5, 24] {
+            let body = GrantBody {
+                to: 1,
+                blocks: (0..b as u64).map(|id| signed_block(id, p, k)).collect(),
+            };
+            let env = Signed::forge(body, "P1", vec![0xcd; k]);
+            assert_eq!(env.encoded_len().expect("encodes"), grant(b), "{b} blocks");
+            assert_eq!(Msg::Grant(env).wire_size(), grant(b) + k, "{b} blocks");
+        }
+    }
+
     #[test]
     fn processor_identity_matches_the_formatted_name() {
         let formatted = |signer: &str, i: usize| signer == format!("P{}", i + 1);

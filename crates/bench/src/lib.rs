@@ -1,19 +1,11 @@
 //! Shared benchmark infrastructure: [`workloads`] hosts the deterministic
-//! rate generators used by the Criterion benches, the experiment harness,
-//! and the payments harness (`src/bin/payments.rs`); [`payments`] hosts the
-//! payment-solver sweep behind the committed `BENCH_payments.json`;
-//! [`throughput`] hosts the auction-engine sweep behind the committed
-//! `BENCH_throughput.json`; [`sessions`] hosts the protocol-session sweep
-//! behind the committed `BENCH_sessions.json`; [`service`] hosts the
-//! always-on service tail-latency sweep behind the committed
-//! `BENCH_service.json`; [`multiload`] hosts the k-load amortization
-//! sweep behind the committed `BENCH_multiload.json`.
+//! rate generators used by the Criterion benches, the experiment harness
+//! and the integration tests; [`service`] hosts the always-on service
+//! tail-latency sweep behind the committed `BENCH_service.json`. The
+//! payment, auction-engine, session-batch and multi-load cost claims are
+//! gated live in `tests/tests/scaling.rs` instead of by committed sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-pub mod multiload;
-pub mod payments;
 pub mod service;
-pub mod sessions;
-pub mod throughput;
 pub mod workloads;

@@ -1,6 +1,6 @@
 //! Service tail-latency sweep: the data source for `BENCH_service.json`.
 //!
-//! Where [`crate::sessions`] asks "how fast does a *batch* go through the
+//! Where a batch timing asks "how fast does a *batch* go through the
 //! service", this harness asks the production question: sessions arriving
 //! continuously, how long does each one *wait*? One cell =
 //! (workload mix) × (drive mode) × (execution path):
@@ -106,8 +106,8 @@ pub struct ServiceBenchConfig {
     /// every heavy to one worker under static placement.
     pub heavy_period: usize,
     /// RSA modulus width. The sweep is about scheduling, not crypto, so
-    /// it runs the minimum width; `BENCH_sessions.json` owns the crypto
-    /// cost story.
+    /// it runs the minimum width; the verification gates in
+    /// `tests/tests/scaling.rs` own the crypto cost story.
     pub key_bits: usize,
     /// Service worker threads.
     pub workers: usize,
@@ -457,15 +457,22 @@ fn calibrate_capacity(cfg: &ServiceBenchConfig, mix: &'static str) -> Result<f64
 }
 
 /// Warms the process-wide deterministic caches (RSA keys, datasets,
-/// signatures) for both session shapes so the first timed cell measures
-/// the same steady state as the last — cells are single timed streams, so
-/// unlike a min-of-reps harness nothing else hides the warmup.
+/// signatures) by running both session shapes twice on the event-driven
+/// executor, so the first timed cell measures the same steady state as
+/// the last — cells are single timed streams, so unlike a min-of-reps
+/// harness nothing else hides the warmup.
 fn warm_caches(cfg: &ServiceBenchConfig) -> Result<(), String> {
-    let sessions = vec![
+    let sessions = [
         stream_session(cfg, "uniform", 0)?,
         stream_session(cfg, "skewed", cfg.heavy_period.saturating_sub(1))?,
     ];
-    crate::workloads::warm_session_caches(&sessions, 2)
+    for session in &sessions {
+        for _ in 0..2 {
+            dls_protocol::run_session_vm(session)
+                .map_err(|e| format!("warmup session failed: {e}"))?;
+        }
+    }
+    Ok(())
 }
 
 /// Runs the whole sweep, emitting progress on stderr.

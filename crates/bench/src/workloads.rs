@@ -45,31 +45,11 @@ pub fn quantized_rates(m: usize, lo: f64, hi: f64, seed: u64, denom: u32) -> Vec
         .collect()
 }
 
-/// Warms the process-wide deterministic protocol caches (RSA keys,
-/// datasets, signatures) by running every given session `reps` times on
-/// the event-driven executor before anything is timed. Shared by the
-/// sessions, service and multiload harnesses so each protocol-level
-/// bench measures the same steady state from its first cell — for
-/// single-stream cells nothing else hides the warmup, and even
-/// min-of-reps cells stop paying one-time keygen in their first rep.
-pub fn warm_session_caches(
-    sessions: &[dls_protocol::SessionConfig],
-    reps: usize,
-) -> Result<(), String> {
-    for cfg in sessions {
-        for _ in 0..reps {
-            dls_protocol::run_session_vm(cfg)
-                .map_err(|e| format!("warmup session failed: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
 /// splitmix64 step (Steele, Lea & Flood 2014): the standard 64-bit mixer,
-/// stable by construction — no dependency can change it. Shared with the
-/// throughput sweep, which draws its bid-update positions from the same
-/// frozen stream.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// stable by construction — no dependency can change it. Public so the
+/// bid-update gates in the integration tests draw their update positions
+/// from the same frozen stream as the rates.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

@@ -16,8 +16,8 @@
 //!   `w` are common. A bid update therefore costs one *suffix splice per
 //!   load* ([`ChainState::update_bid`], O(m − i) with two divisions each)
 //!   instead of `k` full from-scratch re-solves — the amortization the
-//!   multi-load auction engine (`dls-mechanism`) and the
-//!   `BENCH_multiload.json` harness measure.
+//!   multi-load auction engine (`dls-mechanism`) builds on and the live
+//!   splice gate in `tests/tests/scaling.rs` measures.
 //! * [`pipeline_schedule`] — the pipelined timeline: loads are
 //!   distributed over the bus in order, and load `j+1`'s distribution
 //!   overlaps load `j`'s computation. Within each load the allocation is

@@ -32,7 +32,7 @@ use crate::SourceFile;
 /// Montgomery kernel, its word storage and byte/limb boundary, and the
 /// per-key RSA contexts built on them, which carry the RSA hot path on
 /// `u64` words — each with its limb width in bits.
-const SCOPE: &[(&str, u32)] = &[
+pub(crate) const SCOPE: &[(&str, u32)] = &[
     ("crates/num/src/biguint.rs", 32),
     ("crates/num/src/bigint.rs", 32),
     ("crates/num/src/limbs.rs", 64),

@@ -27,7 +27,7 @@ use crate::SourceFile;
 
 /// Modules where real time must not be read at all: the virtual-time
 /// executor and everything whose outputs feed canonical (signed) bytes.
-const WALLCLOCK_SCOPE_FILES: &[&str] = &[
+pub(crate) const WALLCLOCK_SCOPE_FILES: &[&str] = &[
     "crates/protocol/src/executor.rs",
     "crates/protocol/src/sched.rs",
     "crates/protocol/src/runtime.rs",
@@ -36,7 +36,7 @@ const WALLCLOCK_SCOPE_FILES: &[&str] = &[
     "crates/protocol/src/multiload.rs",
     "crates/crypto/src/canon.rs",
 ];
-const WALLCLOCK_SCOPE_PREFIXES: &[&str] = &[
+pub(crate) const WALLCLOCK_SCOPE_PREFIXES: &[&str] = &[
     "crates/dlt/src/",
     "crates/mechanism/src/",
     "crates/num/src/",
@@ -45,7 +45,7 @@ const WALLCLOCK_SCOPE_PREFIXES: &[&str] = &[
 /// Modules where unordered collections are forbidden: the wall-clock scope
 /// plus every canonical encoder and the bench report assembly (whose output
 /// tables are committed artifacts and must be stable across runs).
-const UNORDERED_SCOPE_PREFIXES: &[&str] = &["crates/crypto/src/", "crates/bench/src/"];
+pub(crate) const UNORDERED_SCOPE_PREFIXES: &[&str] = &["crates/crypto/src/", "crates/bench/src/"];
 
 /// `true` when the wall-clock half of the rule applies to `rel`.
 fn wallclock_scope(rel: &str) -> bool {

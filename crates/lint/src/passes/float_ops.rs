@@ -30,7 +30,7 @@ use crate::SourceFile;
 /// `t_without − t_actual`, DLT solve and leave-one-out payments, the
 /// markets that price them, and the protocol code that recomputes and
 /// compares them.
-const SCOPE: &[&str] = &[
+pub(crate) const SCOPE: &[&str] = &[
     "crates/dlt/src/model.rs",
     "crates/dlt/src/loo.rs",
     "crates/dlt/src/optimal.rs",

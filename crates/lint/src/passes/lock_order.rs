@@ -31,7 +31,7 @@ use crate::rules::{match_brace, LOCK_ORDER};
 use crate::SourceFile;
 
 /// Files holding the service's locks and the session caches' locks.
-const SCOPE: &[&str] = &[
+pub(crate) const SCOPE: &[&str] = &[
     "crates/protocol/src/runtime.rs",
     "crates/protocol/src/executor.rs",
     "crates/protocol/src/service.rs",

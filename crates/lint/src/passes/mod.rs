@@ -45,6 +45,28 @@ pub const PASS_NAMES: &[&str] = &[
     "portable-float",
 ];
 
+/// Every workspace path that a per-file rule or a pass names in its
+/// scope: files, and directories as `/`-terminated prefixes. An entry
+/// naming a path that is not in the workspace covers nothing, so the
+/// test suite checks that each one exists.
+pub fn scope_paths() -> Vec<&'static str> {
+    let mut paths = Vec::new();
+    for scope in [
+        crate::rules::FLOAT_SCOPE,
+        crate::rules::PANIC_SCOPE,
+        determinism::WALLCLOCK_SCOPE_FILES,
+        determinism::WALLCLOCK_SCOPE_PREFIXES,
+        determinism::UNORDERED_SCOPE_PREFIXES,
+        lock_order::SCOPE,
+        float_ops::SCOPE,
+    ] {
+        paths.extend_from_slice(scope);
+    }
+    paths.push(state_machine::EXECUTOR);
+    paths.extend(arith::SCOPE.iter().map(|&(path, _)| path));
+    paths
+}
+
 /// Runs every pass over the snapshot. Returns the names of the passes that
 /// found at least one scoped file and actually analyzed something (the gate
 /// asserts all five activate on the real workspace).

@@ -37,7 +37,7 @@ use crate::rules::STATE_MACHINE;
 use crate::SourceFile;
 
 /// The file this pass validates.
-const EXECUTOR: &str = "crates/protocol/src/executor.rs";
+pub(crate) const EXECUTOR: &str = "crates/protocol/src/executor.rs";
 
 /// Declared processor machine: states in enum order.
 const PROC_STATES: &[&str] = &[

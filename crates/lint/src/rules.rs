@@ -55,10 +55,9 @@ pub const ALL_RULES: &[(&str, &str)] = &[
         "unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! and \
          slice indexing are forbidden in protocol hot paths \
          (protocol/src/{runtime,referee,ledger,messages,fault,config,\
-         executor,sched,service,multiload}.rs, \
-         mechanism/src/{engine,multiload}.rs, dlt/src/multiload.rs, \
-         bench/src/{throughput,sessions,service,multiload}.rs); a malformed \
-         message must \
+         executor,sched,service,supervisor,multiload}.rs, \
+         mechanism/src/{engine,multiload}.rs, dlt/src/{multiload,bus}.rs, \
+         bench/src/service.rs); a malformed message must \
          yield a typed error, not a crashed session (Lemma 5.1)",
     ),
     (
@@ -127,60 +126,74 @@ pub fn is_known_rule(name: &str) -> bool {
         || name == PORTABLE_FLOAT
 }
 
+/// `true` when `scope` covers `rel_path`: an entry ending in `/` covers
+/// every path under that directory, any other entry exactly one file.
+pub(crate) fn scope_covers(scope: &[&str], rel_path: &str) -> bool {
+    scope.iter().any(|entry| {
+        if entry.ends_with('/') {
+            rel_path.starts_with(entry)
+        } else {
+            rel_path == *entry
+        }
+    })
+}
+
 /// Paths (workspace-relative, unix separators) covered by
 /// [`NO_FLOAT_IN_EXACT`].
+pub(crate) const FLOAT_SCOPE: &[&str] = &[
+    "crates/num/src/",
+    "crates/crypto/src/",
+    "crates/mechanism/src/exact.rs",
+    "crates/dlt/src/exact.rs",
+];
+
+/// `true` when [`NO_FLOAT_IN_EXACT`] applies to `rel_path`.
 pub fn float_rule_applies(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/num/src/")
-        || rel_path.starts_with("crates/crypto/src/")
-        || rel_path == "crates/mechanism/src/exact.rs"
-        || rel_path == "crates/dlt/src/exact.rs"
+    scope_covers(FLOAT_SCOPE, rel_path)
 }
 
 /// Paths covered by [`NO_PANIC_IN_PROTOCOL`]. Beyond the protocol hot
-/// paths, the auction engine and its throughput sweep qualify: they
-/// re-solve markets from cached state on every bid update, so a panic there
-/// lets a deviant bid crash the auctioneer mid-round. The fault/degradation
-/// modules (`fault.rs`, `config.rs`) qualify for the same reason inverted:
-/// the layer that turns crashes into typed reports must not itself panic.
-/// The event-driven executor (`executor.rs`, `sched.rs`) multiplexes many
-/// sessions on one worker, so a panic there takes down every session queued
-/// on that worker, not just the faulty one; the sessions sweep rides along
-/// because it drives the service from a benchmark binary that must report,
-/// not abort.
+/// paths, the auction engine qualifies: it re-solves markets from cached
+/// state on every bid update, so a panic there lets a deviant bid crash
+/// the auctioneer mid-round. The fault/degradation modules (`fault.rs`,
+/// `config.rs`) qualify for the same reason inverted: the layer that turns
+/// crashes into typed reports must not itself panic. The event-driven
+/// executor (`executor.rs`, `sched.rs`) multiplexes many sessions on one
+/// worker, so a panic there takes down every session queued on that
+/// worker, not just the faulty one.
 /// The always-on service (`service.rs`) is the strongest case of all: its
 /// workers outlive any one session, so a panic kills capacity for every
 /// future submission; its bench harness (`bench/src/service.rs`) rides
-/// along like the sessions sweep. The multi-load installment stack
+/// along because it drives the service from a benchmark binary that must
+/// report, not abort. The multi-load installment stack
 /// (`dlt/src/multiload.rs`, `mechanism/src/multiload.rs`,
-/// `protocol/src/multiload.rs`, `bench/src/multiload.rs`) qualifies end to
-/// end: one k-load session splices k chains per bid update, so a panic in
-/// any layer aborts every in-flight load of the session at once. The bus
-/// timeline kernel (`dlt/src/bus.rs`) those schedules run on qualifies
-/// with them: it runs on every multi-load re-quote and every processed
-/// session.
+/// `protocol/src/multiload.rs`) qualifies end to end: one k-load session
+/// splices k chains per bid update, so a panic in any layer aborts every
+/// in-flight load of the session at once. The bus timeline kernel
+/// (`dlt/src/bus.rs`) those schedules run on qualifies with them: it runs
+/// on every multi-load re-quote and every processed session.
+pub(crate) const PANIC_SCOPE: &[&str] = &[
+    "crates/protocol/src/runtime.rs",
+    "crates/protocol/src/referee.rs",
+    "crates/protocol/src/ledger.rs",
+    "crates/protocol/src/messages.rs",
+    "crates/protocol/src/fault.rs",
+    "crates/protocol/src/config.rs",
+    "crates/protocol/src/executor.rs",
+    "crates/protocol/src/sched.rs",
+    "crates/mechanism/src/engine.rs",
+    "crates/protocol/src/service.rs",
+    "crates/protocol/src/supervisor.rs",
+    "crates/bench/src/service.rs",
+    "crates/dlt/src/multiload.rs",
+    "crates/dlt/src/bus.rs",
+    "crates/mechanism/src/multiload.rs",
+    "crates/protocol/src/multiload.rs",
+];
+
+/// `true` when [`NO_PANIC_IN_PROTOCOL`] applies to `rel_path`.
 pub fn panic_rule_applies(rel_path: &str) -> bool {
-    matches!(
-        rel_path,
-        "crates/protocol/src/runtime.rs"
-            | "crates/protocol/src/referee.rs"
-            | "crates/protocol/src/ledger.rs"
-            | "crates/protocol/src/messages.rs"
-            | "crates/protocol/src/fault.rs"
-            | "crates/protocol/src/config.rs"
-            | "crates/protocol/src/executor.rs"
-            | "crates/protocol/src/sched.rs"
-            | "crates/mechanism/src/engine.rs"
-            | "crates/bench/src/throughput.rs"
-            | "crates/bench/src/sessions.rs"
-            | "crates/protocol/src/service.rs"
-            | "crates/protocol/src/supervisor.rs"
-            | "crates/bench/src/service.rs"
-            | "crates/dlt/src/multiload.rs"
-            | "crates/dlt/src/bus.rs"
-            | "crates/mechanism/src/multiload.rs"
-            | "crates/protocol/src/multiload.rs"
-            | "crates/bench/src/multiload.rs"
-    )
+    scope_covers(PANIC_SCOPE, rel_path)
 }
 
 /// Lints one source file in isolation. `rel_path` selects the applicable

@@ -45,7 +45,7 @@ fn determinism_bench_scope_guards_unordered_but_allows_real_time() {
     // Regression for the committed-output audit: bench report assembly must
     // stay iteration-order deterministic, but benches legitimately measure
     // real time, so only the unordered-collection half applies there.
-    let report = run("crates/bench/src/throughput.rs", "det_hit.rs");
+    let report = run("crates/bench/src/service.rs", "det_hit.rs");
     let r = rules(&report);
     assert_eq!(r.len(), 6, "unordered hits only: {:#?}", report.diagnostics);
     assert!(report
@@ -307,4 +307,23 @@ fn pass_findings_carry_pass_names_in_json() {
         json.contains("\"passes\": [\"determinism\", \"unchecked-arith\"]"),
         "{json}"
     );
+}
+
+// ------------------------------ scopes ---------------------------------
+
+#[test]
+fn every_scope_path_exists_in_the_workspace() {
+    // A deleted or renamed file left in a scope list silently covers
+    // nothing; every entry must name a file (or, `/`-terminated, a
+    // directory) that exists.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for rel in dls_lint::passes::scope_paths() {
+        let path = root.join(rel);
+        let exists = if rel.ends_with('/') {
+            path.is_dir()
+        } else {
+            path.is_file()
+        };
+        assert!(exists, "a lint scope names {rel}, which is not in the workspace");
+    }
 }

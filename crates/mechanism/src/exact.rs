@@ -9,10 +9,7 @@
 //! The default solver ([`compute_payments_exact`]) is O(m) rational
 //! operations for the whole vector via the shared chain-splice state
 //! ([`LeaveOneOut`]); [`compute_payments_exact_naive`] keeps the Θ(m²)
-//! per-agent re-solve as the differential-test oracle, and
-//! [`compute_payments_exact_parallel`] fans the per-agent O(1) work out over
-//! scoped threads for large markets (exact arithmetic makes the result
-//! bit-identical regardless of the thread count).
+//! per-agent re-solve as the differential-test oracle.
 
 use dls_dlt::exact::{self, ExactParams};
 use dls_dlt::loo::LeaveOneOut;
@@ -123,7 +120,7 @@ fn validate(
     Ok(())
 }
 
-/// Shared O(m) precomputation behind the fast sequential and parallel paths.
+/// Shared O(m) precomputation behind the fast path.
 struct Solved {
     loo: LeaveOneOut<Rational>,
     alloc: Vec<Rational>,
@@ -249,52 +246,6 @@ pub fn compute_payments_exact_naive(
     Ok(payments)
 }
 
-/// [`compute_payments_exact`] with the per-agent O(1) work fanned out over
-/// at most `threads` scoped OS threads — the opt-in path for large markets,
-/// where individual rational operations are expensive enough to amortize
-/// thread startup.
-///
-/// Exact arithmetic means the result is bit-identical to the sequential
-/// solver for any `threads` value; `threads ≤ 1` (or a small market) simply
-/// runs sequentially.
-pub fn compute_payments_exact_parallel(
-    model: SystemModel,
-    z: &Rational,
-    bids: &[Rational],
-    observed: &[Rational],
-    threads: usize,
-) -> Result<Vec<ExactPayment>, ExactPaymentError> {
-    validate(z, bids, observed)?;
-    let m = bids.len();
-    let threads = threads.min(m);
-    if threads <= 1 {
-        let solved = Solved::new(model, z, bids);
-        return Ok((0..m).map(|i| solved.pay_one(i, bids, observed)).collect());
-    }
-    let solved = Solved::new(model, z, bids);
-    let chunk = m.div_ceil(threads);
-    let mut out: Vec<Option<ExactPayment>> = vec![None; m];
-    std::thread::scope(|s| {
-        for (t, slots) in out.chunks_mut(chunk).enumerate() {
-            let solved = &solved;
-            s.spawn(move || {
-                let start = t * chunk;
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(solved.pay_one(start + off, bids, observed));
-                }
-            });
-        }
-    });
-    // Every chunk was filled by its thread (scope joins them all); a hole
-    // would be an internal bug, surfaced as a typed error rather than a
-    // panic to honor the panic-free contract.
-    let mut payments = Vec::with_capacity(m);
-    for slot in out {
-        payments.push(slot.ok_or(ExactPaymentError::EmptyMarket)?);
-    }
-    Ok(payments)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,23 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_bitwise() {
-        let z = rat(1, 4);
-        let bids: Vec<Rational> = (1..=9).map(|k| rat(k + 8, 8)).collect();
-        let mut observed = bids.clone();
-        observed[4] = rat(3, 1);
-        for model in ALL_MODELS {
-            let seq = compute_payments_exact(model, &z, &bids, &observed).unwrap();
-            for threads in [1, 2, 3, 8, 64] {
-                let par =
-                    compute_payments_exact_parallel(model, &z, &bids, &observed, threads)
-                        .unwrap();
-                assert_eq!(seq, par, "{model} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn hostile_input_yields_typed_errors() {
         let z = rat(1, 4);
         let bids = [rat(1, 1), rat(2, 1)];
@@ -403,14 +337,10 @@ mod tests {
             ),
             Err(ExactPaymentError::NonPositiveObserved { index: 1 })
         );
-        // The naive oracle and the parallel path apply the same validation.
+        // The naive oracle applies the same validation.
         assert_eq!(
             compute_payments_exact_naive(SystemModel::Cp, &z, &[], &[]),
             Err(ExactPaymentError::EmptyMarket)
-        );
-        assert_eq!(
-            compute_payments_exact_parallel(SystemModel::Cp, &z, &bids, &bids[..1], 4),
-            Err(ExactPaymentError::LengthMismatch { bids: 2, observed: 1 })
         );
     }
 

@@ -92,8 +92,8 @@ impl From<MarketError> for MultiMarketError {
 /// Incremental k-load auction engine: warm per-load chains, splice-cost
 /// bid revisions, allocation-free per-load payment queries.
 ///
-/// The multi-load analogue of [`crate::AuctionEngine`]; the
-/// `BENCH_multiload.json` harness drives exactly this type.
+/// The multi-load analogue of [`crate::AuctionEngine`]; the live splice
+/// gate in `tests/tests/scaling.rs` drives exactly this type.
 #[derive(Debug, Clone)]
 pub struct MultiLoadEngine {
     sched: InstallmentScheduler,
@@ -146,15 +146,6 @@ impl MultiLoadEngine {
     /// the O(k·(m − i)) hot path.
     pub fn submit_bid(&mut self, i: usize, bid: f64) -> Result<(), MultiMarketError> {
         self.sched.update_bid(i, bid)?;
-        self.alloc_dirty = true;
-        Ok(())
-    }
-
-    /// Revises bid `i` via `k` full chain rebuilds — the disclosed
-    /// baseline; observable state bit-identical to
-    /// [`MultiLoadEngine::submit_bid`].
-    pub fn submit_bid_rebuild(&mut self, i: usize, bid: f64) -> Result<(), MultiMarketError> {
-        self.sched.update_bid_rebuild(i, bid)?;
         self.alloc_dirty = true;
         Ok(())
     }

@@ -17,8 +17,8 @@ pub const DEFAULT_PHASE_BUDGET_MS: u64 = 5_000;
 /// fixed registry), so both profiles produce bit-identical session outcomes;
 /// they differ only in how many modexps they spend getting there. The
 /// per-receiver profile exists as an honest measurement baseline for the
-/// sessions benchmark, re-verifying every envelope at every receiver the way
-/// the pre-cache runtime did.
+/// amortized-verification gate in `tests/tests/scaling.rs`, re-verifying
+/// every envelope at every receiver the way the pre-cache runtime did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CryptoProfile {
     /// Verify each distinct envelope once per session and share the verdict

@@ -20,7 +20,7 @@
 //! invariants the executor differential only samples:
 //!
 //! * **determinism** — no wall-clock reads, sleeps or unordered
-//!   `HashMap`/`HashSet` in the declared virtual-time and
+//!   `HashMap`/`HashSet` in the declared deterministic session and
 //!   canonical-encoding modules.
 //! * **state-machine** — the executor's `ProcessorState`/`RefereeState`
 //!   transition graphs must match the declared phase-order spec.
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod diag;
 pub mod lexer;
 pub mod manifest;

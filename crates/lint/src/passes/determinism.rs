@@ -6,17 +6,18 @@
 //! without failing any functional test:
 //!
 //! * **wall-clock reads** (`Instant::now`, `SystemTime`) and
-//!   `thread::sleep` inside the virtual-time path — the event-driven
-//!   executor is bit-reproducible precisely because time only exists as
-//!   `VirtualClock`; a real clock read makes outcomes host-dependent.
+//!   `thread::sleep` inside the session path — the executor is
+//!   bit-reproducible precisely because it reads no clock at all: a phase
+//!   barrier removes a party by its fault plan and the configured phase
+//!   budget alone, and a real clock read makes outcomes host-dependent.
 //! * **unordered collections** (`HashMap`/`HashSet`) in modules whose
 //!   iteration order can reach a committed output, a canonical encoding or
 //!   a message sequence — `RandomState` hashing makes the order differ
 //!   *between processes*, so two honest runs sign different bytes.
 //!
-//! Every session path is virtual-time: phase deadlines and injected delay
-//! faults advance `VirtualClock`, so `runtime.rs` and the executor carry no
-//! suppression at all. The one legitimate wall-clock read is the service's
+//! No session path reads time: a phase deadline is a comparison of an
+//! injected delay against the budget, so `runtime.rs` and the executor
+//! carry no suppression at all. The one legitimate wall-clock read is the service's
 //! enqueue→complete latency stamp, behind a mandatory-reason suppression in
 //! `service.rs`'s private `latency` module; any *new* wall-clock read in
 //! scope needs a written justification too.
@@ -25,11 +26,10 @@ use crate::diag::Diagnostic;
 use crate::rules::{in_ranges, DETERMINISM};
 use crate::SourceFile;
 
-/// Modules where real time must not be read at all: the virtual-time
-/// executor and everything whose outputs feed canonical (signed) bytes.
+/// Modules where real time must not be read at all: the session executor
+/// and everything whose outputs feed canonical (signed) bytes.
 pub(crate) const WALLCLOCK_SCOPE_FILES: &[&str] = &[
     "crates/protocol/src/executor.rs",
-    "crates/protocol/src/sched.rs",
     "crates/protocol/src/runtime.rs",
     "crates/protocol/src/service.rs",
     "crates/protocol/src/supervisor.rs",
@@ -87,7 +87,7 @@ pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> b
                     if !wall {
                         continue;
                     }
-                    "wall-clock read `Instant::now()` in a declared virtual-time module"
+                    "wall-clock read `Instant::now()` in a declared deterministic module"
                         .to_string()
                 }
                 // Any use of `SystemTime` is host state (even UNIX_EPOCH
@@ -96,14 +96,14 @@ pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> b
                     if !wall {
                         continue;
                     }
-                    "`SystemTime` in a declared virtual-time module".to_string()
+                    "`SystemTime` in a declared deterministic module".to_string()
                 }
                 // `thread::sleep` / `std::thread::sleep`.
                 "sleep" if text(i.wrapping_sub(1)) == ":" && i >= 3 && text(i - 3) == "thread" => {
                     if !wall {
                         continue;
                     }
-                    "`thread::sleep` in a declared virtual-time module".to_string()
+                    "`thread::sleep` in a declared deterministic module".to_string()
                 }
                 name @ ("HashMap" | "HashSet") => {
                     if !unordered {
@@ -125,7 +125,7 @@ pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> b
                     col: t.col,
                     message,
                     snippet: sf.snippet(t.line),
-                    help: "route time through VirtualClock / the phase-budget config and \
+                    help: "express deadlines through the phase-budget config and \
                            use BTreeMap/BTreeSet (or sort before iterating); a genuinely \
                            real deadline needs `// dls-lint: allow(determinism) -- <reason>`"
                         .to_string(),

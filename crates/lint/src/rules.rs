@@ -55,7 +55,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
         "unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! and \
          slice indexing are forbidden in protocol hot paths \
          (protocol/src/{runtime,referee,ledger,messages,fault,config,\
-         executor,sched,service,supervisor,multiload}.rs, \
+         executor,service,supervisor,multiload}.rs, \
          mechanism/src/{engine,multiload}.rs, dlt/src/{multiload,bus}.rs, \
          bench/src/service.rs); a malformed message must \
          yield a typed error, not a crashed session (Lemma 5.1)",
@@ -69,8 +69,8 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     (
         DETERMINISM,
         "wall-clock reads (Instant::now, SystemTime), thread::sleep and \
-         unordered HashMap/HashSet are forbidden in the declared virtual-time \
-         and canonical-encoding modules; the mechanism's strategyproofness \
+         unordered HashMap/HashSet are forbidden in the declared deterministic \
+         session and canonical-encoding modules; the mechanism's strategyproofness \
          (Thms 5.1-5.3) assumes every honest party computes identically",
     ),
     (
@@ -157,8 +157,8 @@ pub fn float_rule_applies(rel_path: &str) -> bool {
 /// state on every bid update, so a panic there lets a deviant bid crash
 /// the auctioneer mid-round. The fault/degradation modules (`fault.rs`,
 /// `config.rs`) qualify for the same reason inverted: the layer that turns
-/// crashes into typed reports must not itself panic. The event-driven
-/// executor (`executor.rs`, `sched.rs`) multiplexes many sessions on one
+/// crashes into typed reports must not itself panic. The session
+/// executor (`executor.rs`) multiplexes many sessions on one
 /// worker, so a panic there takes down every session queued on that
 /// worker, not just the faulty one.
 /// The always-on service (`service.rs`) is the strongest case of all: its
@@ -180,7 +180,6 @@ pub(crate) const PANIC_SCOPE: &[&str] = &[
     "crates/protocol/src/fault.rs",
     "crates/protocol/src/config.rs",
     "crates/protocol/src/executor.rs",
-    "crates/protocol/src/sched.rs",
     "crates/mechanism/src/engine.rs",
     "crates/protocol/src/service.rs",
     "crates/protocol/src/supervisor.rs",

@@ -28,7 +28,7 @@ fn rules(report: &Report) -> Vec<&'static str> {
 
 #[test]
 fn determinism_flags_clock_sleep_and_unordered_in_scope() {
-    let report = run("crates/protocol/src/sched.rs", "det_hit.rs");
+    let report = run("crates/protocol/src/multiload.rs", "det_hit.rs");
     let r = rules(&report);
     assert_eq!(r.len(), 10, "4 time + 6 unordered hits: {:#?}", report.diagnostics);
     assert!(r.iter().all(|r| *r == "determinism"));
@@ -62,7 +62,7 @@ fn determinism_ignores_out_of_scope_files() {
 
 #[test]
 fn determinism_suppressions_cover_and_count() {
-    let report = run("crates/protocol/src/sched.rs", "det_suppressed.rs");
+    let report = run("crates/protocol/src/multiload.rs", "det_suppressed.rs");
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     assert_eq!(report.suppressed, 4, "use-HashMap, Instant, decl+ctor HashMap");
 }

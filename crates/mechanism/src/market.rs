@@ -212,7 +212,7 @@ impl Market {
 /// the *identical* function the trusted mechanism would.
 ///
 /// O(m) total for the whole vector: the first bonus terms come from one
-/// shared [`LeaveOneOut`] chain, and the second terms exploit that the
+/// shared [`LeaveOneOut`](dls_dlt::loo::LeaveOneOut) chain, and the second terms exploit that the
 /// mixed schedule `(b_{-i}, w̃_i)` differs from the all-bids schedule in
 /// exactly one finish time — `T_i` shifts by `α_i·(w̃_i − b_i)` while every
 /// `T_j`, `j ≠ i`, is untouched — so precomputed prefix/suffix maxima of

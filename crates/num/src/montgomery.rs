@@ -13,7 +13,7 @@
 //! across calls.
 //!
 //! There is one CIOS body, generic over the operand storage
-//! ([`Limbs`](crate::limbs::Limbs)): `MontgomeryCtx<[u64; N]>` is the
+//! ([`Limbs`]): `MontgomeryCtx<[u64; N]>` is the
 //! monomorphized, allocation-free kernel for one width, and
 //! `MontgomeryCtx<Vec<u64>>` runs the same body at any other width.
 //! [`with_limbs`](crate::limbs::with_limbs) picks the storage for a width.

@@ -6,9 +6,10 @@ use crate::fault::FaultPlan;
 use dls_dlt::{BusParams, ParamError, SystemModel};
 use std::fmt;
 
-/// Default per-phase wall-clock budget (milliseconds): generous enough
-/// that signing, block splitting and honest stragglers never trip it,
-/// small enough that a crashed participant is detected promptly.
+/// Default per-phase budget (milliseconds): a barrier deadline that an
+/// injected [`FaultPlan::DelayAt`] must stay below to count as a
+/// tolerated straggler. No clock is read; the budget is only compared
+/// against injected delays.
 pub const DEFAULT_PHASE_BUDGET_MS: u64 = 5_000;
 
 /// How the session accounts for signature-verification work.
@@ -222,10 +223,10 @@ pub enum ConfigError {
     },
     /// Zero blocks configured.
     NoBlocks,
-    /// The per-phase wall-clock budget is zero — every barrier wait
-    /// would instantly expire.
+    /// The per-phase budget is zero — every party would miss every
+    /// barrier deadline.
     ZeroPhaseBudget,
-    /// A [`FaultPlan::DelayAt`] sleeps past the phase budget, which
+    /// A [`FaultPlan::DelayAt`] reaches the phase budget, which
     /// makes the "tolerated straggler" plan indistinguishable from a
     /// crash; configure a crash if that is the intent.
     DelayExceedsBudget {
@@ -257,7 +258,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::DelayExceedsBudget { processor } => write!(
                 f,
-                "processor {processor}: DelayAt sleeps past the phase budget (use CrashAt)"
+                "processor {processor}: DelayAt reaches the phase budget (use CrashAt)"
             ),
         }
     }
@@ -290,11 +291,11 @@ pub struct SessionConfig {
     pub key_bits: usize,
     /// Deterministic seed for key generation and any tie-breaking.
     pub seed: u64,
-    /// Wall-clock budget per protocol phase, in milliseconds. The
-    /// referee's barrier waits are bounded by this budget; a processor
-    /// that has not arrived when it expires is declared defaulted
-    /// instead of hanging the session. Delays below the budget are
-    /// tolerated stragglers.
+    /// Budget per protocol phase, in milliseconds. The referee closes
+    /// each barrier at this deadline: a processor that crashed, or whose
+    /// injected delay is at least the budget, misses it and is declared
+    /// defaulted instead of hanging the session. Delays below the budget
+    /// are tolerated stragglers. No clock is read.
     pub phase_budget_ms: u64,
     /// Signature-verification cost model (outcome-neutral; see
     /// [`CryptoProfile`]).
@@ -406,7 +407,7 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Sets the per-phase wall-clock budget in milliseconds (validated
+    /// Sets the per-phase budget in milliseconds (validated
     /// non-zero at `build`).
     pub fn phase_budget_ms(mut self, ms: u64) -> Self {
         self.phase_budget_ms = ms;

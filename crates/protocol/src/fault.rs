@@ -15,16 +15,16 @@
 //! referee-facing report/meter/vector — a dead or wedged node does not
 //! selectively deliver):
 //!
-//! * [`FaultPlan::CrashAt`] — the thread exits at the start of the phase
-//!   and never arrives at another barrier. Detected by the referee's
-//!   deadline-bounded barrier wait.
-//! * [`FaultPlan::MuteAt`] — omission: the thread stays alive and keeps
-//!   pacing the barriers, but withholds every message of the phase.
-//!   Detected by the referee as a missing end-of-phase message.
-//! * [`FaultPlan::DelayAt`] — a straggler: the thread sleeps before
-//!   acting, then behaves normally. A delay below the session's phase
-//!   budget must **not** trip the deadline; the session completes
-//!   fault-free.
+//! * [`FaultPlan::CrashAt`] — the processor stops at the start of the
+//!   phase and never arrives at another barrier. Detected when the
+//!   referee closes the next barrier without it.
+//! * [`FaultPlan::MuteAt`] — omission: the processor stays alive and
+//!   keeps arriving at the barriers, but withholds every message of the
+//!   phase. Detected by the referee as a missing end-of-phase message.
+//! * [`FaultPlan::DelayAt`] — a straggler: the processor acts normally
+//!   but arrives late at the phase's first barrier. A delay below the
+//!   session's phase budget must **not** trip the deadline; the session
+//!   completes fault-free. A delay at or past the budget misses it.
 //! * [`FaultPlan::GarbageAt`] — every message of the phase is replaced by
 //!   a syntactically invalid payload, dropped at receipt exactly like a
 //!   bad signature (§4: "if the message fails verification, it is
@@ -55,13 +55,13 @@ pub enum FaultPlan {
     /// No fault: the processor is live in every phase.
     #[default]
     None,
-    /// Thread exits at the start of the phase; never heard from again.
+    /// Stops at the start of the phase; never heard from again.
     CrashAt(Phase),
     /// Omission: alive and pacing barriers, but every message of the
     /// phase is withheld.
     MuteAt(Phase),
-    /// Straggler: sleeps this many milliseconds at the start of the
-    /// phase, then behaves normally.
+    /// Straggler: arrives this many milliseconds late at the phase's
+    /// first barrier, otherwise behaves normally.
     DelayAt(Phase, u64),
     /// Every message of the phase is replaced by an invalid payload that
     /// receivers drop like a failed signature.
@@ -81,7 +81,7 @@ impl FaultPlan {
     }
 
     /// `true` when the plan suppresses (or corrupts) the processor's
-    /// output in `phase` while keeping the thread alive.
+    /// output in `phase` while keeping the processor alive.
     pub(crate) fn silences(&self, phase: Phase) -> bool {
         matches!(
             self,

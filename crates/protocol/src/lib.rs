@@ -35,8 +35,8 @@
 //!   misreporters, slackers, cheating originators, payment corrupters,
 //!   false accusers).
 //! * [`executor`] — the protocol round as explicit processor and referee
-//!   state machines stepped by one deterministic loop on a virtual clock,
-//!   over an in-memory transport that models the tamper-proof network
+//!   state machines stepped by one deterministic loop through twelve
+//!   lock-step phase barriers, over an in-memory transport that models the tamper-proof network
 //!   with atomic broadcast; every message is counted (experiment E10,
 //!   Theorem 5.4 Θ(m²)). [`run_session_vm`] runs one session.
 //! * [`service`] — the supervised worker pool every batch or stream of
@@ -82,7 +82,6 @@ pub mod messages;
 pub mod multiload;
 pub mod referee;
 pub mod runtime;
-pub mod sched;
 pub mod service;
 pub mod supervisor;
 

@@ -25,8 +25,8 @@
 use crate::config::{
     ConfigError, CryptoProfile, ProcessorConfig, SessionConfig, SessionConfigBuilder,
 };
-use crate::executor::{drive_session, VmScratch};
-use crate::runtime::{RunError, SessionOutcome, SessionStatus};
+use crate::executor::VmScratch;
+use crate::runtime::{drive_session, RunError, SessionOutcome, SessionStatus};
 use crate::service::{Completed, ServiceHandle, SubmitError};
 use dls_dlt::SystemModel;
 use std::fmt;
@@ -110,7 +110,7 @@ impl MultiLoadSession {
     /// scratch. Per-load results are bit-exact with
     /// [`crate::executor::run_session_vm`] on [`MultiLoadSession::sessions`].
     pub fn run_vm(&self) -> MultiSessionOutcome {
-        let mut scratch = VmScratch::new();
+        let mut scratch = VmScratch::default();
         let per_load = self
             .sessions
             .iter()
@@ -174,7 +174,7 @@ impl MultiLoadSessionBuilder {
         self
     }
 
-    /// Per-phase wall-clock budget in milliseconds (shared).
+    /// Per-phase budget in milliseconds (shared).
     pub fn phase_budget_ms(mut self, ms: u64) -> Self {
         self.phase_budget_ms = Some(ms);
         self

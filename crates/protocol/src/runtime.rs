@@ -1,16 +1,17 @@
 //! The session loop of DLS-BL-NCP and the types every session reports.
 //!
 //! A session is one or more protocol rounds. Each round runs on the
-//! event-driven executor ([`crate::executor::run_session_vm`]); this
-//! module holds what sits around the rounds:
+//! state-machine executor ([`crate::executor`]); this module holds what
+//! sits around the rounds:
 //!
 //! * the outcome and error types ([`SessionOutcome`], [`RunError`],
 //!   [`ProtocolViolation`], [`MessageStats`]);
-//! * `run_session_with`, the loop that runs rounds until one completes:
+//! * `drive_session`, the loop that runs rounds until one completes:
 //!   it books verdict fines and rewards on the [`Ledger`], excludes
 //!   liveness defaulters and re-runs the survivors, withholds payments
 //!   from parties that defaulted during or after Processing, and
-//!   assembles the realized timeline and per-processor outcomes;
+//!   assembles the realized timeline and per-processor outcomes. The
+//!   single-session entry point and every service worker call it;
 //! * the per-round pieces the executor's referee and processors call:
 //!   the active-set behaviour remap, the seeded key cache, the
 //!   outbound fault hook, verdict merging and the payment/bid-view
@@ -21,9 +22,10 @@
 //! The paper assumes every processor shows up at every phase. The
 //! protocol here drops that assumption: each processor carries a
 //! [`FaultPlan`] (crash/mute/delay/garbage, orthogonal to its strategy),
-//! and the referee closes every phase barrier at a virtual-time deadline
-//! ([`crate::config::SessionConfig::phase_budget_ms`]). A party missing
-//! at the deadline is recorded as a [`LivenessFault`]. Faults detected
+//! and the referee closes every phase barrier at a deadline
+//! ([`crate::config::SessionConfig::phase_budget_ms`]). A party that
+//! crashed, or whose injected delay reaches the budget, misses the
+//! deadline and is recorded as a [`LivenessFault`]. Faults detected
 //! before Processing default the absentee (fined `F` per the §4
 //! schedule) and the survivors re-run the session over the remaining bid
 //! set; faults during/after Processing complete degraded (meter hole,
@@ -32,6 +34,7 @@
 //! [`SessionOutcome::degradation`].
 
 use crate::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
+use crate::executor::{drive_round, VmScratch};
 use crate::fault::{DegradationReport, FaultPlan, LivenessFault};
 use crate::ledger::{Account, Ledger, TransferReason};
 use crate::messages::{
@@ -185,7 +188,8 @@ pub struct MessageStats {
 }
 
 impl MessageStats {
-    pub(crate) fn record(&mut self, category: MsgCategory, copies: u64, bytes_each: u64) {
+    /// Records `copies` deliveries of a message of `bytes_each` bytes.
+    pub fn record(&mut self, category: MsgCategory, copies: u64, bytes_each: u64) {
         let key = match category {
             MsgCategory::Bid => "bid",
             MsgCategory::Grant => "grant",
@@ -195,12 +199,6 @@ impl MessageStats {
         let e = self.counts.entry(key).or_insert((0, 0));
         e.0 += copies;
         e.1 += copies * bytes_each;
-    }
-
-    /// Records `copies` deliveries of a message (public entry point for
-    /// alternative transports, e.g. the centralized baseline).
-    pub fn record_public(&mut self, category: MsgCategory, copies: u64, bytes_each: u64) {
-        self.record(category, copies, bytes_each);
     }
 
     /// Accumulates another stats block into this one (used to total the
@@ -348,11 +346,13 @@ fn ledger_sums(ledger: &Ledger, orig: usize) -> (f64, f64) {
     (fined, rewarded)
 }
 
-/// The session loop: runs `round_fn` over the active set until a round
-/// completes, then books the ledger, withheld payments, the realized
-/// timeline and the per-processor outcomes. Both execution paths (the
-/// single-session entry point and the service) reach it through
-/// [`crate::executor::drive_session`] with the executor's round function.
+/// The per-session driver every execution path shares: runs the
+/// executor's round ([`crate::executor::drive_round`]) over the active
+/// set until a round completes, then books the ledger, withheld
+/// payments, the realized timeline and the per-processor outcomes. The
+/// single-session entry point and the service under either placement
+/// all call it, so they differ only in *which worker* and *when* it
+/// runs, never in what it computes.
 ///
 /// Non-participants are excluded from the active market (they receive
 /// utility 0, per §4); behaviours whose `victim`/`target` indices point at
@@ -366,9 +366,9 @@ fn ledger_sums(ledger: &Ledger, orig: usize) -> (f64, f64) {
 /// fault during/after Processing completes the session degraded instead.
 /// If exclusions leave fewer than two live processors the session errors
 /// with [`ViolationKind::QuorumLost`].
-pub(crate) fn run_session_with(
+pub(crate) fn drive_session(
     cfg: &SessionConfig,
-    mut round_fn: impl FnMut(&SessionConfig, &[usize]) -> Result<RoundOutput, RunError>,
+    scratch: &mut VmScratch,
 ) -> Result<SessionOutcome, RunError> {
     if cfg.model == SystemModel::Cp {
         return Err(RunError::UnsupportedModel);
@@ -395,7 +395,7 @@ pub(crate) fn run_session_with(
     let (round_active, round) = loop {
         degradation.rounds += 1;
         let round_active = active.clone();
-        let round = round_fn(cfg, &round_active)?;
+        let round = drive_round(cfg, &round_active, scratch)?;
         any_fines |= round.rr.any_fines;
         messages.merge(&round.messages);
 

@@ -51,16 +51,17 @@
 //!
 //! ## Why determinism survives placement, faults included
 //!
-//! Virtual time is *per session*: every session runs through
+//! A session reads no clock: every session runs through
 //! [`crate::executor::run_session_vm`]'s state machines via the shared
-//! per-session driver, carrying its own [`crate::sched::VirtualClock`]
-//! and event queue in the worker's scratch arena. Which worker runs a
-//! session, when, and on which attempt is a wall-clock concern that
-//! never feeds the protocol: outcomes are bit-exact across both
+//! per-session driver, whose phase barriers remove a party by its fault
+//! plan and the configured phase budget alone, and the worker's scratch
+//! arena lends it only transport buffers. Which worker runs a session,
+//! when, and on which attempt is a wall-clock concern that never feeds
+//! the protocol: outcomes are bit-exact across both
 //! placements and against the frozen outcome digests even when the
 //! session's first worker was killed mid-job (pinned by
 //! `tests/tests/{service_differential,service_chaos}.rs`). Wall-clock
-//! enters exactly once — the [`latency`] module — and those readings are
+//! enters exactly once — the private `latency` module — and those readings are
 //! reported *beside* outcomes, never used to compute them.
 //!
 //! ## Queue discipline
@@ -76,8 +77,8 @@
 //! [`Placement::StaticShard`].
 
 use crate::config::SessionConfig;
-use crate::executor::{drive_session, drive_session_caught, VmScratch};
-use crate::runtime::{ProtocolViolation, RunError, SessionOutcome};
+use crate::executor::{drive_session_caught, VmScratch};
+use crate::runtime::{drive_session, ProtocolViolation, RunError, SessionOutcome};
 use crate::supervisor::{CompiledPlan, Counters, DeathWatch, ServiceFaultPlan, ServiceStats, Slot};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -92,8 +93,8 @@ const EVICTION_RING: usize = 64;
 /// Wall-clock latency capture, quarantined: these are the only wall-clock
 /// reads on the service path. A stamp is taken at enqueue and read at
 /// completion; the resulting nanosecond figure is attached to the
-/// [`Completed`] record and never influences a session outcome, which is
-/// driven entirely by per-session virtual time. The supervisor reuses the
+/// [`Completed`] record and never influences a session outcome, which
+/// reads no clock at all. The supervisor reuses the
 /// same stamp type to report worker-recovery latency — again a reading
 /// beside the data path, never an input to it.
 pub(crate) mod latency {
@@ -804,7 +805,7 @@ impl Shared {
             None => {
                 if !injected_panic {
                     // A real panic may have torn the arena mid-session.
-                    *scratch = VmScratch::new();
+                    *scratch = VmScratch::default();
                 }
                 if attempt >= 2 {
                     self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -834,7 +835,7 @@ impl Shared {
     /// no work is queued or in progress anywhere. Thread death (fault-
     /// injected or real) is observed by the armed [`DeathWatch`].
     pub(crate) fn worker_loop(&self, w: usize, gen: u64) {
-        let mut scratch = VmScratch::new();
+        let mut scratch = VmScratch::default();
         let mut watch = DeathWatch::arm(self, w, gen);
         loop {
             self.beat(w);
@@ -918,7 +919,7 @@ impl Shared {
     /// with zero live slots has no valid target and would drop the job,
     /// stranding its ticket in `pending` forever).
     pub(crate) fn drain_inline(&self) {
-        let mut scratch = VmScratch::new();
+        let mut scratch = VmScratch::default();
         for job in self.confiscate_all_running() {
             self.resolve_inline(job, &mut scratch);
         }

@@ -6,9 +6,9 @@
 //! thread dying must not strand accepted work. This module adds the
 //! recovery layer (DESIGN.md §16):
 //!
-//! * every worker runs under an armed [`DeathWatch`] — an RAII guard
+//! * every worker runs under an armed `DeathWatch` — an RAII guard
 //!   whose drop-on-unwind/early-return records the death in the
-//!   worker's [`Slot`] and wakes the supervisor;
+//!   worker's `Slot` and wakes the supervisor;
 //! * the supervisor thread sweeps the slots every
 //!   [`crate::service::ServiceConfig::tick`]: a dead slot has its
 //!   in-progress jobs confiscated from the registry, requeued on a

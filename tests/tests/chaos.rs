@@ -12,10 +12,13 @@
 //!   allocations and payments as an independent from-scratch session over
 //!   the survivor bid set;
 //! * a sub-budget delay is a tolerated straggler: clean report, results
-//!   bit-identical to the fault-free run.
+//!   bit-identical to the fault-free run;
+//! * the budget only bounds delays: a crash settles identically under
+//!   every builder-valid budget up to `u64::MAX`, and a delay at the
+//!   budget (set after `build()`) removes the party like a crash.
 
 use dls_dlt::SystemModel;
-use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig};
+use dls_protocol::config::{Behavior, ProcessorConfig, SessionConfig, DEFAULT_PHASE_BUDGET_MS};
 use dls_protocol::fault::{FaultKind, FaultPlan};
 use dls_protocol::referee::Phase;
 use dls_protocol::{run_session_vm, SessionOutcome, SessionStatus};
@@ -42,16 +45,41 @@ fn session(
     fault_of: impl Fn(usize) -> FaultPlan,
     behavior_of: impl Fn(usize) -> Behavior,
 ) -> SessionConfig {
+    budgeted_session(model, BUDGET_MS, fault_of, behavior_of)
+}
+
+fn budgeted_session(
+    model: SystemModel,
+    budget_ms: u64,
+    fault_of: impl Fn(usize) -> FaultPlan,
+    behavior_of: impl Fn(usize) -> Behavior,
+) -> SessionConfig {
     // 12 blocks keeps per-session signing cheap; the chaos matrix cares
     // about liveness, not block granularity.
     let mut b = SessionConfig::builder(model, Z)
         .seed(SEED)
         .blocks(12)
-        .phase_budget_ms(BUDGET_MS);
+        .phase_budget_ms(budget_ms);
     for (i, &w) in W.iter().enumerate() {
         b = b.processor(ProcessorConfig::new(w, behavior_of(i)).with_fault(fault_of(i)));
     }
     b.build().unwrap()
+}
+
+/// `FAULTY` runs `plan` and everyone else is fault-free and compliant. A
+/// delay at or past the budget is outside builder-valid configs, so it
+/// is set after `build()`; every other plan goes through the builder.
+fn faulty_session(model: SystemModel, budget_ms: u64, plan: FaultPlan) -> SessionConfig {
+    let over_budget = matches!(plan, FaultPlan::DelayAt(_, ms) if ms >= budget_ms);
+    let built = if over_budget { FaultPlan::None } else { plan };
+    let mut cfg = budgeted_session(
+        model,
+        budget_ms,
+        |i| if i == FAULTY { built } else { FaultPlan::None },
+        |_| Behavior::Compliant,
+    );
+    cfg.processors[FAULTY].fault = plan;
+    cfg
 }
 
 /// Runs a session and asserts the no-hang bound: a fault is detected at
@@ -67,6 +95,41 @@ fn run_timed(cfg: &SessionConfig) -> SessionOutcome {
         "session exceeded its deadline budget by more than one phase: {elapsed:?}"
     );
     out
+}
+
+/// Asserts two outcomes settle identically: status, exclusions, fines,
+/// withheld payments, and every payment by `to_bits`.
+fn assert_same_settlement(a: &SessionOutcome, b: &SessionOutcome, tag: &str) {
+    assert_eq!(a.status, b.status, "{tag} status");
+    assert_eq!(
+        a.degradation.excluded, b.degradation.excluded,
+        "{tag} excluded"
+    );
+    assert_eq!(
+        a.degradation.withheld_payments, b.degradation.withheld_payments,
+        "{tag} withheld"
+    );
+    let fines = |o: &SessionOutcome| {
+        let default_fines: Vec<(usize, u64)> = o
+            .degradation
+            .default_fines
+            .iter()
+            .map(|&(i, f)| (i, f.to_bits()))
+            .collect();
+        let fined: Vec<u64> = o.processors.iter().map(|p| p.fined.to_bits()).collect();
+        (default_fines, fined)
+    };
+    assert_eq!(fines(a), fines(b), "{tag} fines");
+    let payments = |o: &SessionOutcome| -> Vec<Option<(u64, u64)>> {
+        o.processors
+            .iter()
+            .map(|p| {
+                p.payment
+                    .map(|q| (q.compensation.to_bits(), q.bonus.to_bits()))
+            })
+            .collect()
+    };
+    assert_eq!(payments(a), payments(b), "{tag} payments");
 }
 
 /// Bit-compares every non-`skip` processor's allocation, meter and
@@ -123,15 +186,28 @@ fn fault_matrix_never_hangs_and_reports_truthfully() {
                 (FaultPlan::MuteAt(phase), Some(FaultKind::Omission)),
                 (FaultPlan::GarbageAt(phase), Some(FaultKind::Garbage)),
                 (FaultPlan::DelayAt(phase, DELAY_MS), None),
+                // A delay at the budget misses the deadline: the live
+                // party is removed at the barrier like a crash.
+                (FaultPlan::DelayAt(phase, BUDGET_MS), Some(FaultKind::Crash)),
             ];
             for (plan, kind) in cells {
-                let cfg = session(
-                    model,
-                    |i| if i == FAULTY { plan } else { FaultPlan::None },
-                    |_| Behavior::Compliant,
-                );
+                let cfg = faulty_session(model, BUDGET_MS, plan);
                 let out = run_timed(&cfg);
                 let tag = format!("{model}, {plan}");
+                if let FaultPlan::DelayAt(_, BUDGET_MS) = plan {
+                    // A live party removed at the deadline defaults: its
+                    // partial result, bid included, is dropped.
+                    assert_eq!(out.processors[FAULTY].bid, None, "{tag}");
+                }
+                if let FaultPlan::CrashAt(_) = plan {
+                    // The budget only bounds delays: a crash settles the
+                    // same under the default budget and under the largest
+                    // one the builder accepts.
+                    for budget in [DEFAULT_PHASE_BUDGET_MS, u64::MAX] {
+                        let other = run_timed(&faulty_session(model, budget, plan));
+                        assert_same_settlement(&other, &out, &format!("{tag}, budget {budget}"));
+                    }
+                }
                 let Some(kind) = kind else {
                     // A sub-budget delay is a tolerated straggler: the
                     // session completes clean and bit-identical.
@@ -173,10 +249,13 @@ fn fault_matrix_never_hangs_and_reports_truthfully() {
                     assert!(out.degradation.excluded.is_empty(), "{tag}");
                     assert!(out.degradation.default_fines.is_empty(), "{tag}");
                     // The payment vector is missing exactly when the fault
-                    // silences the Payments phase itself, or the crash
-                    // predates it.
-                    let vector_missing = phase == Phase::Payments
-                        || matches!(plan, FaultPlan::CrashAt(_));
+                    // silences the Payments phase itself, or the party was
+                    // removed at a barrier before it. A delay postpones a
+                    // party's arrival, not its messages, so an over-budget
+                    // delay at Payments still delivers the vector.
+                    let delivered_late = matches!(plan, FaultPlan::DelayAt(Phase::Payments, _));
+                    let vector_missing =
+                        !delivered_late && (phase == Phase::Payments || kind == FaultKind::Crash);
                     if vector_missing {
                         assert_eq!(
                             out.degradation.withheld_payments,
@@ -191,7 +270,8 @@ fn fault_matrix_never_hangs_and_reports_truthfully() {
                     } else {
                         // Mute/garbage at Processing only loses the meter:
                         // everyone falls back to the bid consistently, the
-                        // vectors agree, and nobody is fined.
+                        // vectors agree, and nobody is fined. A late vector
+                        // was delivered, so it is paid too.
                         assert!(out.degradation.withheld_payments.is_empty(), "{tag}");
                         assert!(out.processors[FAULTY].payment.is_some(), "{tag}");
                         assert_eq!(out.status, SessionStatus::Completed, "{tag}");

@@ -1,14 +1,13 @@
 //! The lint gate: `cargo test` fails if any workspace invariant checked
 //! by `dls-lint` is violated.
 //!
-//! The gate is baseline-aware: a finding listed in `lint_baseline.json`
-//! at the repo root is accepted (so a burn-down can be staged across
-//! PRs), but every *new* finding fails, and a separate test pins the
-//! shipped baseline to empty so it can only grow in an explicit diff.
+//! There is no baseline file: the only way to accept a finding is an
+//! inline `// dls-lint: allow(<rule>) -- <reason>` suppression, which the
+//! scan itself honours (and flags when it lacks a reason or covers
+//! nothing).
 //!
 //! The same scan is available interactively as `cargo run -p dls-lint`
-//! (add `--json` for machine-readable output, `--baseline` for the same
-//! acceptance semantics as this gate).
+//! (add `--json` for machine-readable output).
 
 use std::path::Path;
 
@@ -25,34 +24,14 @@ fn workspace_root() -> &'static Path {
         .expect("test package lives inside the workspace")
 }
 
-/// Reads and parses the committed baseline.
-fn baseline() -> Vec<dls_lint::baseline::BaselineEntry> {
-    let path = workspace_root().join("lint_baseline.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    dls_lint::baseline::parse(&text).expect("lint_baseline.json parses")
-}
-
 #[test]
 fn workspace_passes_dls_lint() {
     let report = dls_lint::scan_workspace(workspace_root()).expect("scan runs");
-    let (fresh, _accepted) = dls_lint::baseline::diff(&report.diagnostics, &baseline());
     assert!(
-        fresh.is_empty(),
-        "dls-lint found {} non-baselined violation(s):\n\n{}",
-        fresh.len(),
+        report.diagnostics.is_empty(),
+        "dls-lint found {} violation(s):\n\n{}",
+        report.diagnostics.len(),
         report.render_text()
-    );
-}
-
-#[test]
-fn shipped_baseline_is_empty() {
-    // The workspace is fully clean or suppressed-with-reason; growing the
-    // baseline is allowed only as an explicit, reviewed diff of this test.
-    assert!(
-        baseline().is_empty(),
-        "lint_baseline.json has entries — burn them down or update this test \
-         with a written justification"
     );
 }
 

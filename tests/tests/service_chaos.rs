@@ -6,8 +6,8 @@
 //! workers mid-job, fail spawns, panic the session driver, wedge a
 //! worker — every `Ok` ticket from `submit` resolves to a `Completed`,
 //! and every outcome that resolves successfully is bit-identical to a
-//! direct [`dls_protocol::run_session_vm`] solve (per-session virtual
-//! time makes replay after a kill or confiscation exact, not merely
+//! direct [`dls_protocol::run_session_vm`] solve (a session reads no
+//! clock, so replay after a kill or confiscation is exact, not merely
 //! approximate).
 //!
 //! Overload behavior is exercised by wedging a single worker with
@@ -46,7 +46,7 @@ fn session(seed: u64) -> SessionConfig {
 }
 
 /// Waits for `ticket` and asserts its outcome is bit-identical to the
-/// direct virtual-time solve of `cfg`.
+/// direct `run_session_vm` solve of `cfg`.
 fn assert_resolves_bit_exact(svc: &ServiceHandle, ticket: u64, cfg: &SessionConfig, what: &str) {
     let done = svc
         .wait(ticket)

@@ -5,6 +5,7 @@
 //! the finishing times are exactly equal. Tests use this to certify the
 //! floating-point solver.
 
+use crate::chain::ChainState;
 use crate::model::SystemModel;
 use dls_num::Rational;
 
@@ -51,80 +52,17 @@ impl ExactParams {
     }
 }
 
-/// Exact optimal fractions (Algorithms 2.1/2.2 over rationals).
+/// Exact optimal fractions (Algorithms 2.1/2.2 over rationals, through the
+/// chain kernel).
 pub fn fractions(model: SystemModel, params: &ExactParams) -> Vec<Rational> {
-    let m = params.m();
-    if m == 1 {
-        return vec![Rational::one()];
-    }
-    let mut u = Vec::with_capacity(m);
-    u.push(Rational::one());
-    match model {
-        SystemModel::Cp | SystemModel::NcpFe => {
-            for i in 0..m - 1 {
-                let k = &params.w[i] / &(&params.z + &params.w[i + 1]);
-                let next = &u[i] * &k;
-                u.push(next);
-            }
-        }
-        SystemModel::NcpNfe => {
-            for i in 0..m - 2 {
-                let k = &params.w[i] / &(&params.z + &params.w[i + 1]);
-                let next = &u[i] * &k;
-                u.push(next);
-            }
-            let last = &u[m - 2] * &(&params.w[m - 2] / &params.w[m - 1]);
-            u.push(last);
-        }
-    }
-    let total = u
-        .iter()
-        .fold(Rational::zero(), |acc, x| &acc + x);
-    u.into_iter().map(|x| &x / &total).collect()
+    let mut alpha = Vec::with_capacity(params.m());
+    ChainState::fractions_of(model, params, &mut alpha);
+    alpha
 }
 
-/// Exact finishing times for an arbitrary allocation (Eqs. 1–3, with the
-/// figure-accurate NCP-FE reading — see [`crate::finish_times`]).
-///
-/// # Panics
-/// Panics if `alloc.len() != params.m()`.
-pub fn finish_times(
-    model: SystemModel,
-    params: &ExactParams,
-    alloc: &[Rational],
-) -> Vec<Rational> {
-    let m = params.m();
-    assert_eq!(alloc.len(), m, "allocation length mismatch");
-    let z = &params.z;
-    let w = &params.w;
-    let mut times = Vec::with_capacity(m);
-    match model {
-        SystemModel::Cp => {
-            let mut prefix = Rational::zero();
-            for i in 0..m {
-                prefix = &prefix + &alloc[i];
-                times.push(&(z * &prefix) + &(&alloc[i] * &w[i]));
-            }
-        }
-        SystemModel::NcpFe => {
-            times.push(&alloc[0] * &w[0]);
-            let mut prefix = Rational::zero();
-            for i in 1..m {
-                prefix = &prefix + &alloc[i];
-                times.push(&(z * &prefix) + &(&alloc[i] * &w[i]));
-            }
-        }
-        SystemModel::NcpNfe => {
-            let mut prefix = Rational::zero();
-            for i in 0..m - 1 {
-                prefix = &prefix + &alloc[i];
-                times.push(&(z * &prefix) + &(&alloc[i] * &w[i]));
-            }
-            times.push(&(z * &prefix) + &(&alloc[m - 1] * &w[m - 1]));
-        }
-    }
-    times
-}
+/// Exact finishing times for an arbitrary allocation: the generic Eqs. 1–3
+/// (see [`crate::finish_times`]) over [`Rational`].
+pub use crate::model::finish_times;
 
 /// Exact optimal makespan.
 pub fn optimal_makespan(model: SystemModel, params: &ExactParams) -> Rational {

@@ -17,11 +17,11 @@
 //!
 //! solved in O(m) by accumulating the tail sum from the far end.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Parameters of a linear daisy-chain network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinearParams {
     /// Per-link communication rates; `links[i]` connects `P_{i+1}` to
     /// `P_{i+2}` (0-based: link i is between processors i and i+1).

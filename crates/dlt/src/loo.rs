@@ -1,176 +1,35 @@
-//! O(m) leave-one-out makespan solver — the DLS-BL bonus hot path.
-//!
-//! The first bonus term `T(α(b_{-i}), b_{-i})` needs the optimal makespan of
-//! every reduced market `b_{-i}`. Solving each from scratch is Θ(m) per
-//! agent, Θ(m²) per payment vector — and in the NCP protocol *every*
-//! processor recomputes the vector, Θ(m³) network-wide. This module computes
-//! all m leave-one-out makespans in O(m) total by exploiting the chain
-//! structure of Algorithms 2.1/2.2.
-//!
-//! ## Derivation (the chain splice)
-//!
-//! The unnormalized fractions satisfy `u_1 = 1`, `u_{j+1} = u_j·k_j` with
-//! `k_j = w_j/(z + w_{j+1})` (CP and NCP-FE; NCP-NFE replaces the last link
-//! by `w_{m−1}/w_m`). Telescoping,
-//!
-//! ```text
-//! u_j = (w_1 ⋯ w_{j−1}) / ((z+w_2) ⋯ (z+w_j)),
-//! ```
-//!
-//! and the optimal makespan is `T = c(w_1)/S` with `S = Σ_j u_j`, where
-//! `c(x) = z + x` for CP (and NCP-NFE with m ≥ 2) and `c(x) = x` for NCP-FE.
-//! Removing a middle agent `i` deletes the factor `w_i` from every later
-//! numerator and the factor `z + w_i` from every later denominator — i.e. it
-//! multiplies `u_j` for every `j > i` by the *neighbor-independent* splice
-//! factor
-//!
-//! ```text
-//! ρ_i = (z + w_i)/w_i,
-//! ```
-//!
-//! so the reduced-market normalizer is `S_{-i} = P_{i−1} + ρ_i·Q_{i+1}` with
-//! `P` the prefix sums and `Q` the suffix sums of `u`. Order invariance
-//! (Theorem 2.2) is what makes this well-posed per model: the reduced market
-//! keeps the surviving processors in their original order, so the same
-//! prefix/suffix decomposition applies to CP, NCP-FE, and NCP-NFE alike —
-//! only the endpoints need model-specific care (a removed head changes the
-//! seed of the chain; a removed NFE originator changes the last link back
-//! into a regular one). Each makespan is then O(1) arithmetic operations.
-//!
-//! The solver is generic over [`Scalar`] so the same splice logic backs both
-//! the `f64` mechanism path and the exact-rational certification path; the
-//! naive per-agent re-solves are retained as differential-test oracles
-//! ([`crate::optimal::makespan_without_naive`] and
-//! `dls-mechanism::exact::compute_payments_exact_naive`).
+//! O(m) leave-one-out makespans — the DLS-BL bonus terms
+//! `T(α(b_{-i}), b_{-i})` — from one [`ChainState`] whose suffix sums are
+//! built at construction (the splice is derived in [`crate::chain`]). The
+//! naive re-solves stay as oracles: [`crate::optimal::makespan_without_naive`]
+//! and `dls-mechanism::exact::compute_payments_exact_naive`.
 
+use crate::chain::{ChainState, Scalar};
 use crate::model::SystemModel;
-use dls_num::Rational;
+use std::ops::{Add, Div, Mul};
 
-/// Minimal arithmetic surface the leave-one-out solver needs: a commutative
-/// field element with by-reference operations (so `Rational` never clones
-/// more than necessary).
-///
-/// Implemented for `f64` (mechanism hot path) and [`Rational`] (exact
-/// certification path).
-pub trait Scalar: Clone {
-    /// The multiplicative identity.
-    fn one() -> Self;
-    /// `self + rhs`.
-    fn add(&self, rhs: &Self) -> Self;
-    /// `self · rhs`.
-    fn mul(&self, rhs: &Self) -> Self;
-    /// `self / rhs` (callers guarantee `rhs != 0`).
-    fn div(&self, rhs: &Self) -> Self;
-}
-
-impl Scalar for f64 {
-    fn one() -> Self {
-        1.0
-    }
-    fn add(&self, rhs: &Self) -> Self {
-        self + rhs
-    }
-    fn mul(&self, rhs: &Self) -> Self {
-        self * rhs
-    }
-    fn div(&self, rhs: &Self) -> Self {
-        self / rhs
-    }
-}
-
-impl Scalar for Rational {
-    fn one() -> Self {
-        Rational::one()
-    }
-    fn add(&self, rhs: &Self) -> Self {
-        self + rhs
-    }
-    fn mul(&self, rhs: &Self) -> Self {
-        self * rhs
-    }
-    fn div(&self, rhs: &Self) -> Self {
-        self / rhs
-    }
-}
-
-/// Precomputed chain state answering "optimal makespan of the market with
-/// processor `i` removed" in O(1) per query after an O(m) construction.
-///
-/// Callers guarantee the usual DLT parameter constraints (`z ≥ 0`, every
-/// rate `> 0`); they are enforced upstream by `BusParams` / `ExactParams` /
-/// the mechanism's input validation and not re-checked here.
+/// A chain with its suffix sums built at construction, answering every
+/// leave-one-out query in O(1) through `&self`. Rates that form no market
+/// (empty, or invalid) answer `None` everywhere.
 #[derive(Debug, Clone)]
-pub struct LeaveOneOut<T> {
-    model: SystemModel,
-    z: T,
-    w: Vec<T>,
-    /// Unnormalized fractions `u` of the full market (`u[0] = 1`).
-    u: Vec<T>,
-    /// `prefix[i] = u[0] + … + u[i]`.
-    prefix: Vec<T>,
-    /// `suffix[i] = u[i] + … + u[m−1]`.
-    suffix: Vec<T>,
-}
+pub struct LeaveOneOut<T: Scalar>(Option<ChainState<T>>);
 
-impl<T: Scalar> LeaveOneOut<T> {
-    /// Builds the chain state in O(m).
+impl<T: Scalar> LeaveOneOut<T>
+where
+    for<'a> &'a T: Add<&'a T, Output = T> + Mul<&'a T, Output = T> + Div<&'a T, Output = T>,
+{
+    /// Builds the chain and its suffix sums in O(m).
     pub fn new(model: SystemModel, z: T, w: Vec<T>) -> Self {
-        let m = w.len();
-        let mut u = Vec::with_capacity(m);
-        if m > 0 {
-            u.push(T::one());
-        }
-        if m > 1 {
-            let plain_links = match model {
-                SystemModel::Cp | SystemModel::NcpFe => m - 1,
-                SystemModel::NcpNfe => m - 2,
-            };
-            for i in 0..plain_links {
-                let k = w[i].div(&z.add(&w[i + 1]));
-                let next = u[i].mul(&k);
-                u.push(next);
-            }
-            if model == SystemModel::NcpNfe {
-                let last = u[m - 2].mul(&w[m - 2].div(&w[m - 1]));
-                u.push(last);
-            }
-        }
-        let mut prefix: Vec<T> = Vec::with_capacity(m);
-        for (i, x) in u.iter().enumerate() {
-            prefix.push(if i == 0 { x.clone() } else { prefix[i - 1].add(x) });
-        }
-        let mut suffix = vec![T::one(); m];
-        for i in (0..m).rev() {
-            suffix[i] = if i + 1 == m { u[i].clone() } else { suffix[i + 1].add(&u[i]) };
-        }
-        LeaveOneOut { model, z, w, u, prefix, suffix }
+        LeaveOneOut(T::params(z, w).map(|params| {
+            let mut chain = ChainState::from_params(model, params);
+            chain.ensure_suffix();
+            chain
+        }))
     }
 
-    /// Number of processors in the full market.
-    pub fn m(&self) -> usize {
-        self.w.len()
-    }
-
-    /// The system model the chain was built for.
-    pub fn model(&self) -> SystemModel {
-        self.model
-    }
-
-    /// Optimal makespan of the *full* market (byproduct of the chain state).
-    ///
-    /// Returns `None` on an empty market.
+    /// Optimal makespan of the *full* market; `None` on an empty market.
     pub fn optimal_makespan(&self) -> Option<T> {
-        let m = self.m();
-        if m == 0 {
-            return None;
-        }
-        if m == 1 {
-            return Some(match self.model {
-                SystemModel::Cp => self.z.add(&self.w[0]),
-                SystemModel::NcpFe | SystemModel::NcpNfe => self.w[0].clone(),
-            });
-        }
-        Some(self.head_cost(&self.w[0]).div(&self.prefix[m - 1]))
+        self.0.as_ref().map(ChainState::optimal_makespan)
     }
 
     /// Optimal makespan of the market with processor `i` removed, in O(1).
@@ -178,61 +37,7 @@ impl<T: Scalar> LeaveOneOut<T> {
     /// Returns `None` when `i` is out of range or when no reduced market
     /// exists (`m ≤ 1`), matching [`crate::optimal::makespan_without`].
     pub fn makespan_without(&self, i: usize) -> Option<T> {
-        let m = self.m();
-        if m <= 1 || i >= m {
-            return None;
-        }
-        if m == 2 {
-            // The reduced market is a single processor: T = c₁(w) where
-            // c₁ = z + w for CP (the control processor still sends the whole
-            // load) and c₁ = w for both NCP models (the survivor holds it).
-            let r = &self.w[1 - i];
-            return Some(match self.model {
-                SystemModel::Cp => self.z.add(r),
-                SystemModel::NcpFe | SystemModel::NcpNfe => r.clone(),
-            });
-        }
-        // m ≥ 3 from here; the reduced market has ≥ 2 processors.
-        if i == 0 {
-            // New head is P_2: its chain is u[1..] verbatim (the shared
-            // scale u[1] cancels between numerator and normalizer).
-            return Some(self.head_cost(&self.w[1]).mul(&self.u[1]).div(&self.suffix[1]));
-        }
-        if i == m - 1 && self.model == SystemModel::NcpNfe {
-            // Removing the NFE originator promotes P_{m−1} to originator: its
-            // incoming link changes from the plain k_{m−2} = w_{m−2}/(z+w_{m−1})
-            // to the front-end-free w_{m−2}/w_{m−1}, i.e. the stored u[m−2]
-            // (which used the plain link) is rescaled by (z+w_{m−1})/w_{m−1}
-            // — in 0-based terms u[m−2]·(z+w[m−2])/w[m−2] — while u[m−1] dies.
-            let wl = &self.w[m - 2];
-            let tail = self.u[m - 2].mul(&self.z.add(wl)).div(wl);
-            let s = self.prefix[m - 3].add(&tail);
-            return Some(self.head_cost(&self.w[0]).div(&s));
-        }
-        // Middle removal (and tail removal for CP/FE, where the suffix is
-        // simply empty): every u[j], j > i, is scaled by ρ_i = (z+w_i)/w_i.
-        let s = if i == m - 1 {
-            self.prefix[i - 1].clone()
-        } else {
-            let rho = self.z.add(&self.w[i]).div(&self.w[i]);
-            self.prefix[i - 1].add(&rho.mul(&self.suffix[i + 1]))
-        };
-        Some(self.head_cost(&self.w[0]).div(&s))
-    }
-
-    /// All m leave-one-out makespans in O(m) total.
-    pub fn makespans_without(&self) -> Vec<Option<T>> {
-        (0..self.m()).map(|i| self.makespan_without(i)).collect()
-    }
-
-    /// Head cost `c(x)` of a multi-processor market whose first surviving
-    /// processor has rate `x`: `z + x` for CP and NCP-NFE, `x` for NCP-FE
-    /// (the FE originator computes while it transmits).
-    fn head_cost(&self, x: &T) -> T {
-        match self.model {
-            SystemModel::NcpFe => x.clone(),
-            SystemModel::Cp | SystemModel::NcpNfe => self.z.add(x),
-        }
+        self.0.as_ref()?.without(i)
     }
 }
 
@@ -241,6 +46,7 @@ mod tests {
     use super::*;
     use crate::model::{BusParams, ALL_MODELS};
     use crate::optimal;
+    use dls_num::Rational;
 
     fn rat(n: i64, d: i64) -> Rational {
         Rational::from_ratio(n, d)

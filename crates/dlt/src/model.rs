@@ -1,10 +1,12 @@
 //! System models and finishing-time equations (Eqs. 1–3).
 
-use serde::{Deserialize, Serialize};
+use crate::chain::Scalar;
+use serde::Serialize;
 use std::fmt;
+use std::ops::{Add, Mul};
 
 /// Which bus-network system the load is scheduled on (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SystemModel {
     /// BUS-LINEAR-CP: dedicated control processor `P_0` distributes the
     /// load; all of `P_1..P_m` are workers.
@@ -88,7 +90,7 @@ impl std::error::Error for ParamError {}
 /// on the bus) and per-processor computing rates `w_i` (time per unit load
 /// on `P_i`). Processor indices are 0-based in code (`w[0]` is the paper's
 /// `w_1`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BusParams {
     z: f64,
     w: Vec<f64>,
@@ -127,6 +129,11 @@ impl BusParams {
     /// Number of computing processors `m`.
     pub fn m(&self) -> usize {
         self.w.len()
+    }
+
+    /// `(z, w)` by reference, for the generic chain kernel.
+    pub(crate) fn rates(&self) -> (&f64, &[f64]) {
+        (&self.z, &self.w)
     }
 
     /// `true` iff the parameters are in the **classical DLT regime**
@@ -218,10 +225,19 @@ impl BusParams {
 /// figure-accurate timing so the bus simulator and the closed
 /// form agree exactly.
 ///
+/// Generic over the [`Scalar`], so it is also [`crate::exact::finish_times`].
+///
 /// # Panics
 /// Panics if `alloc.len() != params.m()`.
-pub fn finish_times(model: SystemModel, params: &BusParams, alloc: &[f64]) -> Vec<f64> {
-    let mut times = Vec::with_capacity(params.m());
+pub fn finish_times<T: Scalar>(
+    model: SystemModel,
+    params: &T::Params,
+    alloc: &[T],
+) -> Vec<T>
+where
+    for<'a> &'a T: Add<&'a T, Output = T> + Mul<&'a T, Output = T>,
+{
+    let mut times = Vec::with_capacity(alloc.len());
     finish_times_into(model, params, alloc, &mut times);
     times
 }
@@ -232,44 +248,36 @@ pub fn finish_times(model: SystemModel, params: &BusParams, alloc: &[f64]) -> Ve
 ///
 /// # Panics
 /// Panics if `alloc.len() != params.m()`.
-pub fn finish_times_into(
+pub fn finish_times_into<T: Scalar>(
     model: SystemModel,
-    params: &BusParams,
-    alloc: &[f64],
-    times: &mut Vec<f64>,
-) {
-    let m = params.m();
+    params: &T::Params,
+    alloc: &[T],
+    times: &mut Vec<T>,
+) where
+    for<'a> &'a T: Add<&'a T, Output = T> + Mul<&'a T, Output = T>,
+{
+    let (z, w) = T::rates(params);
+    let m = w.len();
     assert_eq!(alloc.len(), m, "allocation length mismatch");
-    let z = params.z();
-    let w = params.w();
     times.clear();
-    match model {
-        SystemModel::Cp => {
-            // T_i = z·Σ_{j≤i} α_j + α_i·w_i
-            let mut prefix = 0.0;
-            for i in 0..m {
-                prefix += alloc[i];
-                times.push(z * prefix + alloc[i] * w[i]);
-            }
-        }
-        SystemModel::NcpFe => {
-            // P_1 computes immediately; P_i (i≥2) waits for α_2..α_i.
-            times.push(alloc[0] * w[0]);
-            let mut prefix = 0.0;
-            for i in 1..m {
-                prefix += alloc[i];
-                times.push(z * prefix + alloc[i] * w[i]);
-            }
-        }
-        SystemModel::NcpNfe => {
-            // P_m sends α_1..α_{m-1} first, then computes its own fraction.
-            let mut prefix = 0.0;
-            for i in 0..m.saturating_sub(1) {
-                prefix += alloc[i];
-                times.push(z * prefix + alloc[i] * w[i]);
-            }
-            times.push(z * prefix + alloc[m - 1] * w[m - 1]);
-        }
+    // T_i = z·Σ α_j + α_i·w_i, summing the fractions sent so far. The
+    // NCP-FE originator P_1 computes its own at once, from local data; the
+    // NCP-NFE originator P_m sends α_1..α_{m−1}, then computes its own.
+    let (first, sent) = match model {
+        SystemModel::Cp => (0, m),
+        SystemModel::NcpFe => (1, m),
+        SystemModel::NcpNfe => (0, m.saturating_sub(1)),
+    };
+    if first == 1 {
+        times.push(&alloc[0] * &w[0]);
+    }
+    let mut prefix = T::default();
+    for (a, w_i) in alloc[first..sent].iter().zip(&w[first..sent]) {
+        prefix = &prefix + a;
+        times.push(&(z * &prefix) + &(a * w_i));
+    }
+    if sent < m {
+        times.push(&(z * &prefix) + &(&alloc[sent] * &w[sent]));
     }
 }
 

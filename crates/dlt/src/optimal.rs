@@ -1,20 +1,14 @@
 //! Closed-form optimal allocations (Algorithms 2.1 and 2.2, plus the CP
 //! variant), in `f64`.
 //!
-//! All three models reduce to a first-order linear recursion between
-//! consecutive fractions derived from the *equal finish time* optimality
-//! condition (Theorem 2.1):
-//!
-//! * CP and NCP-FE (Eq. 7): `α_i·w_i = α_{i+1}·(z + w_{i+1})`, i.e.
-//!   `α_{i+1} = k_i·α_i` with `k_i = w_i / (z + w_{i+1})`.
-//! * NCP-NFE (Eqs. 8–9): the same `k_i` for `i ≤ m−2`, but the originator
-//!   `P_m` receives nothing over the bus, so the last link is
-//!   `α_m = (w_{m−1}/w_m)·α_{m−1}`.
-//!
-//! Normalizing by `Σ α_i = 1` gives Algorithm 2.1 / 2.2. The computation is
-//! `O(m)` and allocation-order independent (Theorem 2.2).
+//! All three models reduce to one first-order linear recursion between
+//! consecutive fractions, derived from the *equal finish time* optimality
+//! condition (Theorem 2.1) and normalized by `Σ α_i = 1`. The recursion
+//! lives once, in the chain kernel ([`crate::chain`]); this module is the
+//! one-shot `f64` front end to it. The computation is `O(m)` and
+//! allocation-order independent (Theorem 2.2).
 
-use crate::loo::LeaveOneOut;
+use crate::chain::ChainState;
 use crate::model::{makespan, BusParams, SystemModel};
 
 /// Optimal load fractions `α(b)` for the given model and parameters.
@@ -31,38 +25,7 @@ pub fn fractions(model: SystemModel, params: &BusParams) -> Vec<f64> {
 /// allocation-free variant used by the incremental auction engine. Produces
 /// bit-identical values to [`fractions`].
 pub fn fractions_into(model: SystemModel, params: &BusParams, u: &mut Vec<f64>) {
-    let m = params.m();
-    let z = params.z();
-    let w = params.w();
-    u.clear();
-    if m == 1 {
-        u.push(1.0);
-        return;
-    }
-    // Unnormalized fractions u_i with u_1 = 1, then α_i = u_i / Σ u.
-    u.push(1.0);
-    match model {
-        SystemModel::Cp | SystemModel::NcpFe => {
-            for i in 0..m - 1 {
-                let k = w[i] / (z + w[i + 1]);
-                let next = u[i] * k;
-                u.push(next);
-            }
-        }
-        SystemModel::NcpNfe => {
-            for i in 0..m - 2 {
-                let k = w[i] / (z + w[i + 1]);
-                let next = u[i] * k;
-                u.push(next);
-            }
-            let last = u[m - 2] * (w[m - 2] / w[m - 1]);
-            u.push(last);
-        }
-    }
-    let total: f64 = u.iter().sum();
-    for x in u.iter_mut() {
-        *x /= total;
-    }
+    ChainState::fractions_of(model, params, u);
 }
 
 /// Optimal total execution time `T(α(b))` for the given model/parameters.
@@ -79,13 +42,13 @@ pub fn optimal_makespan(model: SystemModel, params: &BusParams) -> f64 {
 /// remains in the originator position). Returns `None` when only one
 /// processor exists (no reduced market).
 ///
-/// Backed by the O(m) chain-splice solver ([`crate::loo::LeaveOneOut`]); a
+/// Backed by the O(m) chain splice ([`ChainState::makespan_without`]); a
 /// single call is O(m) like the naive re-solve, but computing *all* m terms
-/// of a payment vector through one [`crate::loo::LeaveOneOut`] is O(m)
-/// total. [`makespan_without_naive`] retains the full re-solve as the
+/// of a payment vector through one [`ChainState`] is O(m) total.
+/// [`makespan_without_naive`] retains the full re-solve as the
 /// differential-test oracle.
 pub fn makespan_without(model: SystemModel, params: &BusParams, i: usize) -> Option<f64> {
-    LeaveOneOut::new(model, params.z(), params.w().to_vec()).makespan_without(i)
+    ChainState::new(model, params).makespan_without(i)
 }
 
 /// Naive leave-one-out makespan: rebuilds the reduced market and re-solves

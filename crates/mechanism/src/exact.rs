@@ -7,13 +7,13 @@
 //! compensation-cancels-valuation identity `U_i = B_i` holds *exactly*.
 //!
 //! The default solver ([`compute_payments_exact`]) is O(m) rational
-//! operations for the whole vector via the shared chain-splice state
-//! ([`LeaveOneOut`]); [`compute_payments_exact_naive`] keeps the Θ(m²)
-//! per-agent re-solve as the differential-test oracle.
+//! operations for the whole vector: one exact chain ([`ChainState`])
+//! yields both the allocation and the leave-one-out terms;
+//! [`compute_payments_exact_naive`] keeps the Θ(m²) per-agent re-solve as
+//! the differential-test oracle.
 
 use dls_dlt::exact::{self, ExactParams};
-use dls_dlt::loo::LeaveOneOut;
-use dls_dlt::SystemModel;
+use dls_dlt::{ChainState, SystemModel};
 use dls_num::Rational;
 use std::fmt;
 
@@ -122,7 +122,7 @@ fn validate(
 
 /// Shared O(m) precomputation behind the fast path.
 struct Solved {
-    loo: LeaveOneOut<Rational>,
+    chain: ChainState<Rational>,
     alloc: Vec<Rational>,
     /// Finish times of the all-bids schedule under `alloc`.
     base: Vec<Rational>,
@@ -134,9 +134,13 @@ struct Solved {
 
 impl Solved {
     fn new(model: SystemModel, z: &Rational, bids: &[Rational]) -> Self {
-        let params = ExactParams::new(z.clone(), bids.to_vec());
-        let alloc = exact::fractions(model, &params);
-        let base = exact::finish_times(model, &params, &alloc);
+        let chain = ChainState::<Rational>::from_params(
+            model,
+            ExactParams::new(z.clone(), bids.to_vec()),
+        );
+        let mut alloc = Vec::with_capacity(bids.len());
+        chain.fractions_into(&mut alloc);
+        let base = exact::finish_times(model, chain.params(), &alloc);
         let m = base.len();
         let mut prefix_max = base.clone();
         for i in 1..m {
@@ -151,7 +155,7 @@ impl Solved {
             }
         }
         Solved {
-            loo: LeaveOneOut::new(model, z.clone(), bids.to_vec()),
+            chain,
             alloc,
             base,
             prefix_max,
@@ -160,11 +164,11 @@ impl Solved {
     }
 
     /// Payment for agent `i` in O(1) rational operations.
-    fn pay_one(&self, i: usize, bids: &[Rational], observed: &[Rational]) -> ExactPayment {
+    fn pay_one(&mut self, i: usize, bids: &[Rational], observed: &[Rational]) -> ExactPayment {
         let m = self.base.len();
         let compensation = &self.alloc[i] * &observed[i];
         let t_without = self
-            .loo
+            .chain
             .makespan_without(i)
             .unwrap_or_else(|| &self.alloc[i] * &bids[i]);
         // Mixed schedule (b_{-i}, w̃_i): only T_i moves, by α_i·(w̃_i − b_i);
@@ -194,7 +198,7 @@ pub fn compute_payments_exact(
     observed: &[Rational],
 ) -> Result<Vec<ExactPayment>, ExactPaymentError> {
     validate(z, bids, observed)?;
-    let solved = Solved::new(model, z, bids);
+    let mut solved = Solved::new(model, z, bids);
     Ok((0..bids.len())
         .map(|i| solved.pay_one(i, bids, observed))
         .collect())

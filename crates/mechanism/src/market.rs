@@ -3,12 +3,12 @@
 use dls_dlt::{
     finish_times_into, makespan, optimal, BusParams, ChainState, ParamError, SystemModel,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One strategic processor: its private type, its report, and how it
 /// actually executes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AgentSpec {
     /// True unit-processing time `w_i` (private type `t_i`).
     pub true_w: f64,
@@ -98,7 +98,7 @@ impl From<ParamError> for MarketError {
 }
 
 /// Payment handed to one processor, split per Eq. (12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Payment {
     /// `C_i = α_i·w̃_i` — reimbursement of incurred cost.
     pub compensation: f64,
@@ -212,7 +212,7 @@ impl Market {
 /// the *identical* function the trusted mechanism would.
 ///
 /// O(m) total for the whole vector: the first bonus terms come from one
-/// shared [`LeaveOneOut`](dls_dlt::loo::LeaveOneOut) chain, and the second terms exploit that the
+/// shared [`ChainState`], and the second terms exploit that the
 /// mixed schedule `(b_{-i}, w̃_i)` differs from the all-bids schedule in
 /// exactly one finish time — `T_i` shifts by `α_i·(w̃_i − b_i)` while every
 /// `T_j`, `j ≠ i`, is untouched — so precomputed prefix/suffix maxima of

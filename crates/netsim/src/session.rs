@@ -10,10 +10,10 @@
 
 use dls_dlt::bus::{BusClock, Sink};
 use dls_dlt::{BusParams, SystemModel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A closed time interval `[start, end]` on the timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Segment {
     /// Interval start.
     pub start: f64,
@@ -34,7 +34,7 @@ impl Segment {
 }
 
 /// What one processor did during the session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ProcTimeline {
     /// Bus transfer delivering this processor's fraction (`None` for the
     /// originator, whose data never crosses the bus, and for zero-sized
@@ -46,7 +46,7 @@ pub struct ProcTimeline {
 }
 
 /// The complete simulated execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Timeline {
     /// Per-processor activity, indexed like the allocation vector. For the
     /// CP model, index 0..m are the workers (the control processor `P_0` is

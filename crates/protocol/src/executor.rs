@@ -421,7 +421,8 @@ pub enum ProcessorState {
     /// result survives.
     Crashed,
     /// Terminal: removed at a barrier deadline while still live (only
-    /// reachable with delays at/beyond the budget); the result defaults.
+    /// reachable with delays at/beyond the budget); the partial result
+    /// survives.
     Defaulted,
     /// Terminal: stopped by a non-proceed verdict.
     Halted,
@@ -539,9 +540,9 @@ pub struct VmScratch {
 
 /// Closes one phase barrier: every live machine that misses the deadline
 /// ([`ArrivalPlan::misses_deadline`]) is removed and recorded as crashed,
-/// in index order. Crashed machines keep their partial result; live
-/// machines removed at the deadline default and lose theirs. A delay is
-/// consumed by the barrier it was posted for.
+/// in index order. A removed machine keeps its partial result, crashed or
+/// late alike; how it is paid is settled once, by the session loop. A
+/// delay is consumed by the barrier it was posted for.
 fn vm_barrier(phase: Phase, budget_ms: u64, machines: &mut [ProcMachine], watch: &mut VmWatch) {
     for p in machines.iter_mut().filter(|p| !p.removed) {
         let arrival = std::mem::replace(&mut p.arrival, ArrivalPlan::OnTime);
@@ -552,7 +553,6 @@ fn vm_barrier(phase: Phase, budget_ms: u64, machines: &mut [ProcMachine], watch:
         watch.record_crash(phase, p.i);
         if p.state != ProcessorState::Crashed {
             p.state = ProcessorState::Defaulted;
-            p.result = ProcResult::default();
         }
     }
 }
@@ -1511,11 +1511,11 @@ mod tests {
             ArrivalPlan::Delayed(10),
         ]);
         assert_eq!(close(50, &mut ms), vec![1]);
-        // A live party removed at the deadline defaults and loses its
-        // partial result; the on-time parties keep theirs.
+        // A live party removed at the deadline defaults and, like a
+        // crashed one, keeps its partial result for settlement.
         assert!(ms[1].removed);
         assert_eq!(ms[1].state, ProcessorState::Defaulted);
-        assert_eq!(ms[1].result.bid, None);
+        assert_eq!(ms[1].result.bid, Some(1.0));
         assert_eq!(ms[2].result.bid, Some(1.0));
         // Removed parties are never recorded again.
         assert!(close(50, &mut ms).is_empty());

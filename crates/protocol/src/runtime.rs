@@ -466,15 +466,7 @@ pub(crate) fn drive_session(
     } = round;
     degradation.excluded.sort_unstable();
 
-    // Payments for processors that defaulted during/after Processing are
-    // withheld: they delivered no verified payment vector of their own and
-    // cannot be paid through the forwarded `Q`.
-    let withheld_pos: BTreeSet<usize> = rr
-        .faults
-        .iter()
-        .filter(|f| f.phase >= Phase::Processing && !rr.delivered_vectors.contains(&f.processor))
-        .map(|f| f.processor)
-        .collect();
+    let withheld_pos = withheld_payments(&rr);
     degradation.withheld_payments = withheld_pos
         .iter()
         .map(|&pos| orig_of(&round_active, pos))
@@ -609,6 +601,21 @@ pub(crate) fn drive_session(
         makespan,
         degradation,
     })
+}
+
+/// The one settlement rule for parties absent during or after Processing
+/// (DESIGN §11), in active-set positions. Every removed party keeps its
+/// partial result, so its cost is its meter. One whose own verified
+/// payment vector reached the referee is paid like a survivor: lateness
+/// neither gains nor loses. Any other absentee delivered no vector of its
+/// own and cannot be paid through the forwarded `Q`, so its payment is
+/// withheld.
+fn withheld_payments(rr: &RefResult) -> BTreeSet<usize> {
+    rr.faults
+        .iter()
+        .filter(|f| f.phase >= Phase::Processing && !rr.delivered_vectors.contains(&f.processor))
+        .map(|f| f.processor)
+        .collect()
 }
 
 /// Everything one protocol round produced (active-set indexing).

@@ -195,9 +195,9 @@ fn fault_matrix_never_hangs_and_reports_truthfully() {
                 let out = run_timed(&cfg);
                 let tag = format!("{model}, {plan}");
                 if let FaultPlan::DelayAt(_, BUDGET_MS) = plan {
-                    // A live party removed at the deadline defaults: its
-                    // partial result, bid included, is dropped.
-                    assert_eq!(out.processors[FAULTY].bid, None, "{tag}");
+                    // A live party removed at the deadline keeps its
+                    // partial result, bid included, like a crashed one.
+                    assert_eq!(out.processors[FAULTY].bid, Some(W[FAULTY]), "{tag}");
                 }
                 if let FaultPlan::CrashAt(_) = plan {
                     // The budget only bounds delays: a crash settles the
@@ -252,8 +252,12 @@ fn fault_matrix_never_hangs_and_reports_truthfully() {
                     // silences the Payments phase itself, or the party was
                     // removed at a barrier before it. A delay postpones a
                     // party's arrival, not its messages, so an over-budget
-                    // delay at Payments still delivers the vector.
+                    // delay at Payments still delivers the vector; the late
+                    // party must not gain by it.
                     let delivered_late = matches!(plan, FaultPlan::DelayAt(Phase::Payments, _));
+                    let late = &out.processors[FAULTY];
+                    let honest = clean.processors[FAULTY].utility;
+                    assert!(!delivered_late || late.utility <= honest, "{tag}: {late:?}");
                     let vector_missing =
                         !delivered_late && (phase == Phase::Payments || kind == FaultKind::Crash);
                     if vector_missing {
@@ -284,6 +288,47 @@ fn fault_matrix_never_hangs_and_reports_truthfully() {
                             i + 1
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The fault-free compliant session at `blocks` blocks.
+fn clean_session(model: SystemModel, blocks: usize) -> SessionConfig {
+    let mut cfg = session(model, |_| FaultPlan::None, |_| Behavior::Compliant);
+    cfg.blocks = blocks;
+    cfg
+}
+
+/// Faults must never pay (Thm 5.1): for every faulty index, both NCP
+/// models and 12, 60 or 120 blocks, a party absent during or after
+/// Processing — crashed, or removed at the barrier after a delay at the
+/// budget — ends no better off than complying, no compliant party is
+/// fined, and the ledger balances.
+#[test]
+fn absent_parties_never_gain() {
+    let plans = [
+        FaultPlan::CrashAt(Phase::Processing),
+        FaultPlan::CrashAt(Phase::Payments),
+        FaultPlan::DelayAt(Phase::Processing, BUDGET_MS),
+        FaultPlan::DelayAt(Phase::Payments, BUDGET_MS),
+    ];
+    for model in MODELS {
+        for blocks in [12, 60, 120] {
+            let clean = run_timed(&clean_session(model, blocks));
+            for faulty in 0..W.len() {
+                for plan in plans {
+                    let tag = format!("{model}, {blocks} blocks, P{} {plan}", faulty + 1);
+                    let mut cfg = clean_session(model, blocks);
+                    cfg.processors[faulty].fault = plan;
+                    let out = run_timed(&cfg);
+                    let (got, honest) = (&out.processors[faulty], &clean.processors[faulty]);
+                    assert!(got.utility <= honest.utility, "{tag}: {got:?} vs {honest:?}");
+                    for (i, p) in out.processors.iter().enumerate().filter(|&(i, _)| i != faulty) {
+                        assert_eq!(p.fined, 0.0, "{tag}: compliant P{} fined", i + 1);
+                    }
+                    assert!(out.ledger.conservation_error().abs() < 1e-9, "{tag}: ledger");
                 }
             }
         }

@@ -79,6 +79,10 @@ pub trait Scalar: Clone + Default + fmt::Debug {
     fn set_rate(params: &mut Self::Params, i: usize, w_i: Self);
     /// Parameters from raw parts, `None` when they do not form a market.
     fn params(z: Self, w: Vec<Self>) -> Option<Self::Params>;
+    /// `self = max(self, other)`, the step of a running maximum. `f64`
+    /// goes through [`f64::max`], so the `f64` payment maxima keep its
+    /// bits.
+    fn max_assign(&mut self, other: &Self);
 }
 
 impl Scalar for f64 {
@@ -94,6 +98,9 @@ impl Scalar for f64 {
     }
     fn params(z: f64, w: Vec<f64>) -> Option<BusParams> {
         BusParams::new(z, w).ok()
+    }
+    fn max_assign(&mut self, other: &f64) {
+        *self = self.max(*other);
     }
 }
 
@@ -111,6 +118,11 @@ impl Scalar for Rational {
     }
     fn params(z: Rational, w: Vec<Rational>) -> Option<ExactParams> {
         (!w.is_empty()).then(|| ExactParams::new(z, w))
+    }
+    fn max_assign(&mut self, other: &Rational) {
+        if *other > *self {
+            *self = other.clone();
+        }
     }
 }
 
@@ -216,8 +228,9 @@ where
     ///
     /// # Panics
     /// Panics if `i` is out of bounds or the new rate is invalid (as
-    /// [`BusParams::with_rate`]); validated callers like `dls-mechanism`'s
-    /// `AuctionEngine` check first and return typed errors.
+    /// [`BusParams::with_rate`]); validated callers like
+    /// [`crate::InstallmentScheduler::update_bid`] check first and return
+    /// typed errors.
     pub fn update_bid(&mut self, i: usize, w_i: T) {
         let m = self.m();
         assert!(i < m, "processor index {i} out of range for m = {m}");

@@ -56,7 +56,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
          slice indexing are forbidden in protocol hot paths \
          (protocol/src/{runtime,referee,ledger,messages,fault,config,\
          executor,service,supervisor,multiload}.rs, \
-         mechanism/src/{engine,multiload}.rs, dlt/src/{multiload,bus}.rs, \
+         mechanism/src/multiload.rs, dlt/src/{multiload,bus}.rs, \
          bench/src/service.rs); a malformed message must \
          yield a typed error, not a crashed session (Lemma 5.1)",
     ),
@@ -153,9 +153,10 @@ pub fn float_rule_applies(rel_path: &str) -> bool {
 }
 
 /// Paths covered by [`NO_PANIC_IN_PROTOCOL`]. Beyond the protocol hot
-/// paths, the auction engine qualifies: it re-solves markets from cached
-/// state on every bid update, so a panic there lets a deviant bid crash
-/// the auctioneer mid-round. The fault/degradation modules (`fault.rs`,
+/// paths, the incremental auction engine (`mechanism/src/multiload.rs`)
+/// qualifies: it re-solves markets from cached state on every bid
+/// update, so a panic there lets a deviant bid crash the auctioneer
+/// mid-round. The fault/degradation modules (`fault.rs`,
 /// `config.rs`) qualify for the same reason inverted: the layer that turns
 /// crashes into typed reports must not itself panic. The session
 /// executor (`executor.rs`) multiplexes many sessions on one
@@ -180,7 +181,6 @@ pub(crate) const PANIC_SCOPE: &[&str] = &[
     "crates/protocol/src/fault.rs",
     "crates/protocol/src/config.rs",
     "crates/protocol/src/executor.rs",
-    "crates/mechanism/src/engine.rs",
     "crates/protocol/src/service.rs",
     "crates/protocol/src/supervisor.rs",
     "crates/bench/src/service.rs",

@@ -1,37 +1,27 @@
 //! Exact-rational DLS-BL payments — certifies the f64 payment computation
 //! the same way `dls-dlt::exact` certifies the allocation solver.
 //!
-//! Payment disputes are adjudicated numerically (the referee compares
-//! vectors within a tolerance); this module bounds the legitimate numeric
-//! disagreement by computing `C_i` and `B_i` over [`Rational`]s, where the
-//! compensation-cancels-valuation identity `U_i = B_i` holds *exactly*.
+//! The referee compares payment vectors bit for bit, since every party
+//! runs the same `f64` code. This module measures how far that `f64`
+//! vector lies from the true payments by computing `C_i` and `B_i` over
+//! [`Rational`]s, where the compensation-cancels-valuation identity
+//! `U_i = B_i` holds *exactly*.
 //!
-//! The default solver ([`compute_payments_exact`]) is O(m) rational
-//! operations for the whole vector: one exact chain ([`ChainState`])
-//! yields both the allocation and the leave-one-out terms;
-//! [`compute_payments_exact_naive`] keeps the Θ(m²) per-agent re-solve as
-//! the differential-test oracle.
+//! Both solvers validate their input and then run the `f64` path's
+//! generic code over [`Rational`]: [`compute_payments_exact`] is the O(m)
+//! payment kernel ([`compute_payments_into`]) on one exact chain
+//! ([`ChainState`]), and [`compute_payments_exact_naive`] is the Θ(m²)
+//! per-agent re-solve ([`compute_payments_naive`]), kept as the
+//! differential-test oracle.
 
+use crate::market::{compute_payments_into, compute_payments_naive, Payment, PaymentScratch};
 use dls_dlt::exact::{self, ExactParams};
 use dls_dlt::{ChainState, SystemModel};
 use dls_num::Rational;
 use std::fmt;
 
 /// One exact payment entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExactPayment {
-    /// Compensation `C_i = α_i·w̃_i`.
-    pub compensation: Rational,
-    /// Bonus `B_i = T(α(b_{-i}), b_{-i}) − T(α(b), (b_{-i}, w̃_i))`.
-    pub bonus: Rational,
-}
-
-impl ExactPayment {
-    /// Total payment `Q_i`.
-    pub fn total(&self) -> Rational {
-        &self.compensation + &self.bonus
-    }
-}
+pub type ExactPayment = Payment<Rational>;
 
 /// Hostile or malformed input to the exact payment solvers.
 ///
@@ -85,11 +75,6 @@ impl fmt::Display for ExactPaymentError {
 
 impl std::error::Error for ExactPaymentError {}
 
-/// Largest of a set of finishing times; `None` on an empty market.
-fn max_time(times: Vec<Rational>) -> Option<Rational> {
-    times.into_iter().max()
-}
-
 fn validate(
     z: &Rational,
     bids: &[Rational],
@@ -120,74 +105,6 @@ fn validate(
     Ok(())
 }
 
-/// Shared O(m) precomputation behind the fast path.
-struct Solved {
-    chain: ChainState<Rational>,
-    alloc: Vec<Rational>,
-    /// Finish times of the all-bids schedule under `alloc`.
-    base: Vec<Rational>,
-    /// `prefix_max[i] = max(base[..=i])`.
-    prefix_max: Vec<Rational>,
-    /// `suffix_max[i] = max(base[i..])`.
-    suffix_max: Vec<Rational>,
-}
-
-impl Solved {
-    fn new(model: SystemModel, z: &Rational, bids: &[Rational]) -> Self {
-        let chain = ChainState::<Rational>::from_params(
-            model,
-            ExactParams::new(z.clone(), bids.to_vec()),
-        );
-        let mut alloc = Vec::with_capacity(bids.len());
-        chain.fractions_into(&mut alloc);
-        let base = exact::finish_times(model, chain.params(), &alloc);
-        let m = base.len();
-        let mut prefix_max = base.clone();
-        for i in 1..m {
-            if prefix_max[i - 1] > prefix_max[i] {
-                prefix_max[i] = prefix_max[i - 1].clone();
-            }
-        }
-        let mut suffix_max = base.clone();
-        for i in (0..m.saturating_sub(1)).rev() {
-            if suffix_max[i + 1] > suffix_max[i] {
-                suffix_max[i] = suffix_max[i + 1].clone();
-            }
-        }
-        Solved {
-            chain,
-            alloc,
-            base,
-            prefix_max,
-            suffix_max,
-        }
-    }
-
-    /// Payment for agent `i` in O(1) rational operations.
-    fn pay_one(&mut self, i: usize, bids: &[Rational], observed: &[Rational]) -> ExactPayment {
-        let m = self.base.len();
-        let compensation = &self.alloc[i] * &observed[i];
-        let t_without = self
-            .chain
-            .makespan_without(i)
-            .unwrap_or_else(|| &self.alloc[i] * &bids[i]);
-        // Mixed schedule (b_{-i}, w̃_i): only T_i moves, by α_i·(w̃_i − b_i);
-        // the other finish times are read off the precomputed maxima.
-        let shift = &self.alloc[i] * &(&observed[i] - &bids[i]);
-        let mut t_actual = &self.base[i] + &shift;
-        if i > 0 && self.prefix_max[i - 1] > t_actual {
-            t_actual = self.prefix_max[i - 1].clone();
-        }
-        if i + 1 < m && self.suffix_max[i + 1] > t_actual {
-            t_actual = self.suffix_max[i + 1].clone();
-        }
-        ExactPayment {
-            compensation,
-            bonus: &t_without - &t_actual,
-        }
-    }
-}
-
 /// Exact DLS-BL payments for bids `b` and observed rates `w̃`, in O(m)
 /// rational operations total (chain-splice leave-one-out terms plus
 /// prefix/suffix-maxima mixed-schedule terms).
@@ -198,16 +115,18 @@ pub fn compute_payments_exact(
     observed: &[Rational],
 ) -> Result<Vec<ExactPayment>, ExactPaymentError> {
     validate(z, bids, observed)?;
-    let mut solved = Solved::new(model, z, bids);
-    Ok((0..bids.len())
-        .map(|i| solved.pay_one(i, bids, observed))
-        .collect())
+    let mut chain = ChainState::from_params(model, ExactParams::new(z.clone(), bids.to_vec()));
+    let mut alloc = Vec::with_capacity(bids.len());
+    chain.fractions_into(&mut alloc);
+    let mut payments = Vec::with_capacity(bids.len());
+    let mut scratch = PaymentScratch::default();
+    compute_payments_into(&mut chain, &alloc, observed, &mut scratch, &mut payments);
+    Ok(payments)
 }
 
-/// The pre-optimization exact payment computation: per-agent reduced-market
-/// re-solve and full mixed-schedule re-evaluation, Θ(m²) rational operations
-/// for the vector. Retained as the independent differential-test oracle for
-/// [`compute_payments_exact`].
+/// The exact per-agent reduced-market re-solve and full mixed-schedule
+/// re-evaluation, Θ(m²) rational operations for the vector. Retained as the
+/// independent differential-test oracle for [`compute_payments_exact`].
 pub fn compute_payments_exact_naive(
     model: SystemModel,
     z: &Rational,
@@ -215,39 +134,9 @@ pub fn compute_payments_exact_naive(
     observed: &[Rational],
 ) -> Result<Vec<ExactPayment>, ExactPaymentError> {
     validate(z, bids, observed)?;
-    let m = bids.len();
     let params = ExactParams::new(z.clone(), bids.to_vec());
     let alloc = exact::fractions(model, &params);
-
-    let mut payments = Vec::with_capacity(m);
-    for i in 0..m {
-        let compensation = &alloc[i] * &observed[i];
-        // Reduced market: bids without i.
-        let t_without = if m == 1 {
-            &alloc[i] * &bids[i]
-        } else {
-            let mut reduced = bids.to_vec();
-            reduced.remove(i);
-            let rp = ExactParams::new(z.clone(), reduced);
-            max_time(exact::finish_times(
-                model,
-                &rp,
-                &exact::fractions(model, &rp),
-            ))
-            .ok_or(ExactPaymentError::EmptyMarket)?
-        };
-        // Realized schedule: everyone at bid, i at observed.
-        let mut mixed = bids.to_vec();
-        mixed[i] = observed[i].clone();
-        let mp = ExactParams::new(z.clone(), mixed);
-        let t_actual = max_time(exact::finish_times(model, &mp, &alloc))
-            .ok_or(ExactPaymentError::EmptyMarket)?;
-        payments.push(ExactPayment {
-            compensation,
-            bonus: &t_without - &t_actual,
-        });
-    }
-    Ok(payments)
+    Ok(compute_payments_naive(model, &params, &alloc, observed))
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The DLS-BL market: agents, allocation, payments, utilities.
 
-use dls_dlt::{
-    finish_times_into, makespan, optimal, BusParams, ChainState, ParamError, SystemModel,
-};
+use dls_dlt::chain::Scalar;
+use dls_dlt::{finish_times, finish_times_into, BusParams, ChainState, ParamError, SystemModel};
 use serde::Serialize;
 use std::fmt;
+use std::ops::{Add, Div, Mul, Sub};
 
 /// One strategic processor: its private type, its report, and how it
 /// actually executes.
@@ -97,19 +97,23 @@ impl From<ParamError> for MarketError {
     }
 }
 
-/// Payment handed to one processor, split per Eq. (12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct Payment {
+/// Payment handed to one processor, split per Eq. (12), in `f64` or in
+/// exact rationals ([`crate::exact::ExactPayment`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Payment<T = f64> {
     /// `C_i = α_i·w̃_i` — reimbursement of incurred cost.
-    pub compensation: f64,
+    pub compensation: T,
     /// `B_i = T(α(b_{-i}), b_{-i}) − T(α(b), (b_{-i}, w̃_i))`.
-    pub bonus: f64,
+    pub bonus: T,
 }
 
-impl Payment {
+impl<T> Payment<T>
+where
+    for<'a> &'a T: Add<&'a T, Output = T>,
+{
     /// Total payment `Q_i = C_i + B_i`.
-    pub fn total(&self) -> f64 {
-        self.compensation + self.bonus
+    pub fn total(&self) -> T {
+        &self.compensation + &self.bonus
     }
 }
 
@@ -216,8 +220,8 @@ impl Market {
 /// mixed schedule `(b_{-i}, w̃_i)` differs from the all-bids schedule in
 /// exactly one finish time — `T_i` shifts by `α_i·(w̃_i − b_i)` while every
 /// `T_j`, `j ≠ i`, is untouched — so precomputed prefix/suffix maxima of
-/// the base finish times answer each makespan in O(1). The pre-optimization
-/// Θ(m²) version survives as [`compute_payments_naive`], the oracle the
+/// the base finish times answer each makespan in O(1). The Θ(m²)
+/// per-agent re-solve survives as [`compute_payments_naive`], the oracle the
 /// differential tests compare against.
 pub fn compute_payments(
     model: SystemModel,
@@ -237,105 +241,144 @@ pub fn compute_payments(
 /// across evaluations; after the first call of a given market size no
 /// further allocation occurs.
 #[derive(Debug, Clone, Default)]
-pub struct PaymentScratch {
+pub struct PaymentScratch<T = f64> {
     /// Finish times of the all-bids schedule under the given allocation.
-    base: Vec<f64>,
+    base: Vec<T>,
     /// `prefix_max[i] = max(base[..=i])`.
-    prefix_max: Vec<f64>,
+    prefix_max: Vec<T>,
     /// `suffix_max[i] = max(base[i..])`.
-    suffix_max: Vec<f64>,
-    /// First bonus terms `T(α(b_{-i}), b_{-i})`.
-    t_without: Vec<f64>,
+    suffix_max: Vec<T>,
 }
 
-/// [`compute_payments`] writing into caller-owned buffers — the
-/// allocation-free core shared by [`Market::run`] and the incremental
-/// `AuctionEngine`. The bid-side chain products come from `chain` (whose
-/// cached prefix/suffix sums answer each leave-one-out query in O(1));
-/// results are bit-identical to [`compute_payments`] on the same inputs.
+/// The payment kernel behind [`compute_payments`], [`Market::run`], the
+/// multi-load engine and, over [`Rational`](dls_num::Rational),
+/// [`crate::exact::compute_payments_exact`], writing into caller-owned
+/// buffers. The bid-side chain products come from `chain` (whose cached
+/// prefix/suffix sums answer each leave-one-out query in O(1)); in `f64`
+/// the results are bit-identical to [`compute_payments`] on the same
+/// inputs.
 ///
 /// # Panics
 /// Panics if `alloc` or `observed` disagree with `chain.m()` in length.
-pub fn compute_payments_into(
-    chain: &mut ChainState,
-    alloc: &[f64],
-    observed: &[f64],
-    scratch: &mut PaymentScratch,
-    out: &mut Vec<Payment>,
-) {
+pub fn compute_payments_into<T: Scalar>(
+    chain: &mut ChainState<T>,
+    alloc: &[T],
+    observed: &[T],
+    scratch: &mut PaymentScratch<T>,
+    out: &mut Vec<Payment<T>>,
+) where
+    for<'a> &'a T: Add<&'a T, Output = T>
+        + Sub<&'a T, Output = T>
+        + Mul<&'a T, Output = T>
+        + Div<&'a T, Output = T>,
+{
     let m = chain.m();
     assert_eq!(alloc.len(), m);
     assert_eq!(observed.len(), m);
-    let model = chain.model();
-    finish_times_into(model, chain.params(), alloc, &mut scratch.base);
-    // prefix_max[i] = max(base[..=i]); suffix_max[i] = max(base[i..]).
+    finish_times_into(chain.model(), chain.params(), alloc, &mut scratch.base);
     scratch.prefix_max.clear();
     scratch.prefix_max.extend_from_slice(&scratch.base);
-    for i in 1..m {
-        scratch.prefix_max[i] = scratch.prefix_max[i].max(scratch.prefix_max[i - 1]);
-    }
+    running_max(scratch.prefix_max.iter_mut());
     scratch.suffix_max.clear();
     scratch.suffix_max.extend_from_slice(&scratch.base);
-    for i in (0..m.saturating_sub(1)).rev() {
-        scratch.suffix_max[i] = scratch.suffix_max[i].max(scratch.suffix_max[i + 1]);
-    }
-    // First bonus terms: optimal time of the market without P_i —
-    // independent of anything P_i reports or does. A single-agent market
-    // has no reduced counterpart; the term is then the time of doing
-    // nothing at all, i.e. the whole load unserved. We follow [9] and
-    // define it as the solo processing time on an absent market = +∞
-    // conceptually; practically the mechanism is only run with m ≥ 2 (the
-    // protocol requires peers), so we fall back to the agent's own bid
-    // time to keep the math finite.
-    scratch.t_without.clear();
-    for i in 0..m {
-        let solo = alloc[i] * chain.params().w()[i];
-        scratch.t_without.push(chain.makespan_without(i).unwrap_or(solo));
-    }
+    running_max(scratch.suffix_max.iter_mut().rev());
     out.clear();
-    let w = chain.params().w();
     for i in 0..m {
-        let compensation = alloc[i] * observed[i];
+        // First term: optimal time of the market without P_i — independent
+        // of anything P_i reports or does. A single-agent market has no
+        // reduced counterpart; the term is then the time of doing nothing
+        // at all, i.e. the whole load unserved. We follow [9] and define it
+        // as the solo processing time on an absent market = +∞
+        // conceptually; practically the mechanism is only run with m ≥ 2
+        // (the protocol requires peers), so we fall back to the agent's own
+        // bid time to keep the math finite.
+        let t_without = chain.makespan_without(i);
+        let w = T::rates(chain.params()).1;
+        let t_without = t_without.unwrap_or_else(|| &alloc[i] * &w[i]);
+        let compensation = &alloc[i] * &observed[i];
         // Second term: the realized schedule, others at their bids, P_i
-        // at its observed speed — max of the other finish times and P_i's
-        // shifted one.
-        let mut t_actual = scratch.base[i] + alloc[i] * (observed[i] - w[i]);
+        // at its observed speed — only T_i moves, by α_i·(w̃_i − b_i), so
+        // it is the max of P_i's shifted time and the others' maxima.
+        let mut t_actual = &scratch.base[i] + &(&alloc[i] * &(&observed[i] - &w[i]));
         if i > 0 {
-            t_actual = t_actual.max(scratch.prefix_max[i - 1]);
+            t_actual.max_assign(&scratch.prefix_max[i - 1]);
         }
         if i + 1 < m {
-            t_actual = t_actual.max(scratch.suffix_max[i + 1]);
+            t_actual.max_assign(&scratch.suffix_max[i + 1]);
         }
         out.push(Payment {
             compensation,
-            bonus: scratch.t_without[i] - t_actual,
+            bonus: &t_without - &t_actual,
         });
     }
 }
 
-/// The pre-optimization payment computation: per-agent reduced-market
-/// re-solve plus a full mixed-schedule makespan, Θ(m) each and Θ(m²) for the
-/// vector. Retained as the independent differential-test oracle for
-/// [`compute_payments`].
-pub fn compute_payments_naive(
+/// Turns the cells `xs` visits into their running maxima, in visiting
+/// order.
+fn running_max<'a, T: Scalar + 'a>(mut xs: impl Iterator<Item = &'a mut T>) {
+    if let Some(mut prev) = xs.next() {
+        for x in xs {
+            x.max_assign(prev);
+            prev = x;
+        }
+    }
+}
+
+/// The Θ(m²) payment computation: per-agent reduced-market re-solve plus a
+/// full mixed-schedule makespan, Θ(m) each. Retained, in `f64` and (through
+/// [`crate::exact::compute_payments_exact_naive`]) in exact rationals, as
+/// the differential-test oracle for [`compute_payments_into`], with which
+/// it shares only the chain recursion ([`ChainState::fractions_of`]) and
+/// [`finish_times`].
+///
+/// # Panics
+/// Panics if `alloc` or `observed` disagree with the market in length, or
+/// an observed rate is not a valid rate.
+pub fn compute_payments_naive<T: Scalar>(
     model: SystemModel,
-    bid_params: &BusParams,
-    alloc: &[f64],
-    observed: &[f64],
-) -> Vec<Payment> {
-    let m = bid_params.m();
+    bid_params: &T::Params,
+    alloc: &[T],
+    observed: &[T],
+) -> Vec<Payment<T>>
+where
+    for<'a> &'a T: Add<&'a T, Output = T>
+        + Sub<&'a T, Output = T>
+        + Mul<&'a T, Output = T>
+        + Div<&'a T, Output = T>,
+{
+    let (z, w) = T::rates(bid_params);
+    let m = w.len();
     assert_eq!(alloc.len(), m);
     assert_eq!(observed.len(), m);
+    let market = |rates: Vec<T>| T::params(z.clone(), rates).expect("valid rates");
+    let latest = |times: Vec<T>| {
+        let mut times = times.into_iter();
+        let mut max = times.next().expect("at least one processor");
+        times.for_each(|t| max.max_assign(&t));
+        max
+    };
     (0..m)
         .map(|i| {
-            let compensation = alloc[i] * observed[i];
-            let t_without = optimal::makespan_without_naive(model, bid_params, i)
-                .unwrap_or(alloc[i] * bid_params.w()[i]);
-            let mixed = bid_params.with_rate(i, observed[i]);
-            let t_actual = makespan(model, &mixed, alloc);
+            let compensation = &alloc[i] * &observed[i];
+            // Reduced market: the bids without P_i, solved from scratch.
+            let t_without = if m == 1 {
+                &alloc[i] * &w[i]
+            } else {
+                let mut reduced = w.to_vec();
+                reduced.remove(i);
+                let reduced = market(reduced);
+                let mut fractions = Vec::with_capacity(m - 1);
+                ChainState::fractions_of(model, &reduced, &mut fractions);
+                latest(finish_times(model, &reduced, &fractions))
+            };
+            // Realized schedule: everyone at their bid, P_i at its observed
+            // rate.
+            let mut mixed = w.to_vec();
+            mixed[i] = observed[i].clone();
+            let t_actual = latest(finish_times(model, &market(mixed), alloc));
             Payment {
                 compensation,
-                bonus: t_without - t_actual,
+                bonus: &t_without - &t_actual,
             }
         })
         .collect()
@@ -378,7 +421,7 @@ impl MechanismOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dls_dlt::ALL_MODELS;
+    use dls_dlt::{optimal, ALL_MODELS};
 
     fn truthful_market(model: SystemModel) -> Market {
         Market::new(

@@ -92,8 +92,13 @@ impl From<MarketError> for MultiMarketError {
 /// Incremental k-load auction engine: warm per-load chains, splice-cost
 /// bid revisions, allocation-free per-load payment queries.
 ///
-/// The multi-load analogue of [`crate::AuctionEngine`]; the live splice
-/// gate in `tests/tests/scaling.rs` drives exactly this type.
+/// The one incremental auction engine; a single auction is the engine
+/// over one unit load, `[LoadSpec::new(1.0, z)]`, whose quotes and
+/// payments are bit-identical to the one-shot solvers (`1.0·x == x`).
+/// Once every buffer has grown to its market's size, a bid revision
+/// ([`MultiLoadEngine::submit_bid`]) followed by payment queries
+/// ([`MultiLoadEngine::payments_into`]) allocates nothing. The live
+/// gates in `tests/tests/scaling.rs` drive exactly this type.
 #[derive(Debug, Clone)]
 pub struct MultiLoadEngine {
     sched: InstallmentScheduler,
@@ -101,6 +106,7 @@ pub struct MultiLoadEngine {
     alloc: Vec<Vec<f64>>,
     alloc_dirty: bool,
     scratch: PaymentScratch,
+    /// Per-load payments buffer of [`MultiLoadEngine::utilities_into`].
     payments: Vec<Payment>,
 }
 
@@ -213,29 +219,7 @@ impl MultiLoadEngine {
     ) -> Result<(), MultiMarketError> {
         self.check_observed(observed)?;
         self.refresh_alloc();
-        let size = self
-            .sched
-            .loads()
-            .get(load)
-            .map(|s| s.size)
-            .unwrap_or(f64::NAN);
-        let k = self.k();
-        let alloc = self
-            .alloc
-            .get(load)
-            .ok_or(MultiMarketError::Load(MultiLoadError::LoadOutOfRange {
-                load,
-                k,
-            }))?
-            .clone();
-        let chain = self.sched.chain_mut(load)?;
-        compute_payments_into(chain, &alloc, observed, &mut self.scratch, &mut self.payments);
-        out.clear();
-        out.extend(self.payments.iter().map(|p| Payment {
-            compensation: size * p.compensation,
-            bonus: size * p.bonus,
-        }));
-        Ok(())
+        load_payments(&mut self.sched, &self.alloc, &mut self.scratch, load, observed, out)
     }
 
     /// Cross-load session utilities: for every processor,
@@ -248,28 +232,49 @@ impl MultiLoadEngine {
         out: &mut Vec<f64>,
     ) -> Result<(), MultiMarketError> {
         self.check_observed(observed)?;
-        let m = self.m();
+        self.refresh_alloc();
         out.clear();
-        out.resize(m, 0.0);
-        let mut payments = Vec::with_capacity(m);
+        out.resize(self.m(), 0.0);
         for l in 0..self.k() {
-            self.payments_into(l, observed, &mut payments)?;
-            self.refresh_alloc();
-            let size = self.sched.loads().get(l).map(|s| s.size).unwrap_or(0.0);
-            let alloc = match self.alloc.get(l) {
-                Some(a) => a,
-                None => continue,
+            let payments = &mut self.payments;
+            load_payments(&mut self.sched, &self.alloc, &mut self.scratch, l, observed, payments)?;
+            let (Some(spec), Some(alloc)) = (self.sched.loads().get(l), self.alloc.get(l)) else {
+                continue;
             };
             for ((u, p), (&a, &w)) in out
                 .iter_mut()
-                .zip(&payments)
+                .zip(&self.payments)
                 .zip(alloc.iter().zip(observed))
             {
-                *u += p.total() - size * a * w;
+                *u += p.total() - spec.size * a * w;
             }
         }
         Ok(())
     }
+}
+
+/// Payments of load `load` under its fresh allocation `alloc[load]`,
+/// scaled by the load volume, into `out`. Takes the engine's fields
+/// apart so that neither the allocation nor the output is copied.
+fn load_payments(
+    sched: &mut InstallmentScheduler,
+    alloc: &[Vec<f64>],
+    scratch: &mut PaymentScratch,
+    load: usize,
+    observed: &[f64],
+    out: &mut Vec<Payment>,
+) -> Result<(), MultiMarketError> {
+    let (Some(spec), Some(alloc)) = (sched.loads().get(load), alloc.get(load)) else {
+        let k = sched.k();
+        return Err(MultiMarketError::Load(MultiLoadError::LoadOutOfRange { load, k }));
+    };
+    let size = spec.size;
+    compute_payments_into(sched.chain_mut(load)?, alloc, observed, scratch, out);
+    for p in out.iter_mut() {
+        p.compensation *= size;
+        p.bonus *= size;
+    }
+    Ok(())
 }
 
 /// A one-shot k-load market: `k` per-load DLS-BL markets over the same
@@ -524,6 +529,12 @@ mod tests {
             engine.submit_bid(99, 1.0),
             Err(MultiMarketError::Load(MultiLoadError::IndexOutOfRange { .. }))
         ));
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                engine.submit_bid(0, bad),
+                Err(MultiMarketError::Load(MultiLoadError::InvalidBid { index: 0, .. }))
+            ));
+        }
         let mut out = Vec::new();
         assert!(matches!(
             engine.payments_into(0, &[1.0], &mut out),
@@ -534,9 +545,20 @@ mod tests {
             Err(MultiMarketError::InvalidObserved { index: 1, .. })
         ));
         assert!(matches!(
+            engine.payments_into(0, &[1.0, 1.0, 1.0, f64::NAN], &mut out),
+            Err(MultiMarketError::InvalidObserved { index: 3, .. })
+        ));
+        assert!(matches!(
             engine.payments_into(9, &rates(), &mut out),
             Err(MultiMarketError::Load(MultiLoadError::LoadOutOfRange { .. }))
         ));
+        assert!(matches!(
+            MultiLoadEngine::new(dls_dlt::SystemModel::Cp, &[1.0], &[LoadSpec::new(1.0, -1.0)]),
+            Err(MultiMarketError::Load(MultiLoadError::InvalidLoad { load: 0, .. }))
+        ));
         assert!(MultiLoadMarket::new(dls_dlt::SystemModel::Cp, &[], vec![]).is_err());
+        // A rejected revision leaves the engine usable.
+        engine.submit_bid(1, 3.0).unwrap();
+        assert_eq!(engine.bids(), &[1.0, 3.0, 0.8, 3.2]);
     }
 }

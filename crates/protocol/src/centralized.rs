@@ -115,10 +115,7 @@ pub fn run_centralized(cfg: &SessionConfig) -> Result<CentralizedOutcome, RunErr
     let payments: Vec<PaymentEntry> =
         dls_mechanism::compute_payments(SystemModel::Cp, &params, &alloc, &observed)
             .into_iter()
-            .map(|p| PaymentEntry {
-                compensation: p.compensation,
-                bonus: p.bonus,
-            })
+            .map(PaymentEntry::from)
             .collect();
     for (i, entry) in payments.iter().enumerate() {
         let msg = Msg::PaymentVector(

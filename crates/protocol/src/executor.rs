@@ -596,6 +596,21 @@ fn count_valid_blocks(body: &GrantBody, dataset: &DataSet, registry: &Registry) 
         .count()
 }
 
+/// The observed rates `w̃_i = φ_i/α_i` recovered from the meter readings
+/// `φ` under allocation `α`, with the bid `b_i` standing in where `α_i` or
+/// `φ_i` is not positive. Processors and the referee each call it with
+/// their own `α` and bids. Every fraction lies in `(0, 1]`, so a positive
+/// reading recovers a positive rate (`φ_i/α_i ≥ φ_i > 0`): testing `φ_i`
+/// is the same as testing the recovered rate.
+fn observed_rates(meters: &[f64], alpha: &[f64], bids: &[f64]) -> Vec<f64> {
+    meters
+        .iter()
+        .zip(alpha)
+        .zip(bids)
+        .map(|((phi, a), b)| if *a > 0.0 && *phi > 0.0 { phi / a } else { *b })
+        .collect()
+}
+
 /// Shared bid collection: verifies each logged broadcast once, in send
 /// order, producing the per-sender first-bid slots and the conflict list
 /// every honest receiver would derive (a receiver's own view differs only
@@ -1073,23 +1088,11 @@ pub(crate) fn drive_round(
     // Every machine received the same meter broadcast and holds the same
     // agreed bids and α, so the honest payment vector is computed once;
     // per-machine tampering applies to a clone.
-    let observed: Vec<f64> = meters
-        .iter()
-        .zip(&alpha)
-        .map(|(phi, a)| if *a > 0.0 { phi / a } else { 0.0 })
-        .collect();
-    let observed: Vec<f64> = observed
-        .iter()
-        .zip(&bids)
-        .map(|(o, b)| if *o > 0.0 { *o } else { *b })
-        .collect();
+    let observed = observed_rates(&meters, &alpha, &bids);
     let base_q: Vec<PaymentEntry> =
         dls_mechanism::compute_payments(model, &params, &alpha, &observed)
             .into_iter()
-            .map(|p| PaymentEntry {
-                compensation: p.compensation,
-                bonus: p.bonus,
-            })
+            .map(PaymentEntry::from)
             .collect();
 
     for p in machines.iter_mut() {
@@ -1252,12 +1255,7 @@ pub(crate) fn drive_round(
         )
     })?;
     let ref_alpha = dls_dlt::optimal::fractions(referee.model(), &ref_params);
-    let ref_observed: Vec<f64> = meters
-        .iter()
-        .zip(ref_alpha.iter())
-        .zip(agreed_bids.iter())
-        .map(|((phi, a), b)| if *a > 0.0 && *phi > 0.0 { phi / a } else { *b })
-        .collect();
+    let ref_observed = observed_rates(&meters, &ref_alpha, &agreed_bids);
     let (verdict, correct) = referee
         .adjudicate_payments(&vectors, &agreed_bids, &ref_observed)
         .map_err(|e| {

@@ -3,6 +3,7 @@
 
 use crate::blocks::SignedBlock;
 use dls_crypto::Signed;
+use dls_mechanism::Payment;
 use serde::Serialize;
 
 /// A processor's signed bid `S_{P_i}(b_i, P_i)` (Bidding phase).
@@ -36,6 +37,17 @@ impl PaymentEntry {
     /// Total payment `Q_i`.
     pub fn total(&self) -> f64 {
         self.compensation + self.bonus
+    }
+}
+
+/// The wire form of a mechanism payment. A type of its own, because its
+/// name and field order are part of the signed pre-image.
+impl From<Payment> for PaymentEntry {
+    fn from(p: Payment) -> Self {
+        PaymentEntry {
+            compensation: p.compensation,
+            bonus: p.bonus,
+        }
     }
 }
 

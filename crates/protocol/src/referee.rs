@@ -335,10 +335,7 @@ impl Referee {
         let correct: Vec<PaymentEntry> =
             dls_mechanism::compute_payments(self.model, &params, &alloc, observed)
                 .into_iter()
-                .map(|p| PaymentEntry {
-                    compensation: p.compensation,
-                    bonus: p.bonus,
-                })
+                .map(PaymentEntry::from)
                 .collect();
 
         let mut deviants = BTreeSet::new();
@@ -661,10 +658,7 @@ mod tests {
         let alloc = dls_dlt::optimal::fractions(model, &params);
         dls_mechanism::compute_payments(model, &params, &alloc, observed)
             .into_iter()
-            .map(|p| PaymentEntry {
-                compensation: p.compensation,
-                bonus: p.bonus,
-            })
+            .map(PaymentEntry::from)
             .collect()
     }
 
@@ -831,10 +825,7 @@ mod tests {
         let alpha = dls_dlt::optimal::fractions(SystemModel::NcpFe, &params);
         dls_mechanism::compute_payments(SystemModel::NcpFe, &params, &alpha, bids)
             .into_iter()
-            .map(|p| PaymentEntry {
-                compensation: p.compensation,
-                bonus: p.bonus,
-            })
+            .map(PaymentEntry::from)
             .collect()
     }
 

@@ -11,14 +11,21 @@
 //! the same order* as the rebuild, so IEEE-754 determinism makes the
 //! results identical. A tolerance here would hide a broken splice.
 //!
-//! Workloads come from `dls_bench::workloads::quantized_rates`, the same
-//! frozen generator the throughput benchmark replays.
+//! The engine under test is [`MultiLoadEngine`] over one unit load: a
+//! single auction, whose quotes and payments scale by `1.0` and so keep
+//! their bits. Workloads come from `dls_bench::workloads::quantized_rates`,
+//! the frozen dyadic-rate generator the differential suites share.
 
-use dls::dlt::{optimal, BusParams, ChainState, LeaveOneOut, ALL_MODELS};
-use dls::mechanism::{compute_payments, AuctionEngine};
+use dls::dlt::{
+    optimal, BusParams, ChainState, InstallmentScheduler, LeaveOneOut, LoadSpec, ALL_MODELS,
+};
+use dls::mechanism::{compute_payments, MultiLoadEngine};
 use dls_bench::workloads::quantized_rates;
 
 const Z: f64 = 0.1875; // 3/16, dyadic
+
+/// The single auction: one unit load at bus rate [`Z`].
+const UNIT: [LoadSpec; 1] = [LoadSpec { size: 1.0, z: Z }];
 
 /// A deterministic update schedule hitting the head slot, the tail slot,
 /// both ends of every special link, and a spread of middle positions.
@@ -92,19 +99,18 @@ fn engine_evaluate_matches_one_shot_solve_bitwise() {
     for model in ALL_MODELS {
         for (seed, m) in [(51u64, 1usize), (52, 2), (53, 5), (54, 33), (55, 128)] {
             let bids = quantized_rates(m, 1.0, 8.0, seed, 64);
-            let mut eng = AuctionEngine::new(model, Z, bids).unwrap();
+            let mut eng = MultiLoadEngine::new(model, &bids, &UNIT).unwrap();
             for (step, (i, bid)) in update_schedule(m, seed ^ 0x5a5a).into_iter().enumerate() {
                 eng.submit_bid(i, bid).unwrap();
                 let params = BusParams::new(Z, eng.bids().to_vec()).unwrap();
                 let expect = optimal::fractions(model, &params);
                 let loo = LeaveOneOut::new(model, Z, eng.bids().to_vec());
-                let quote = eng.evaluate();
                 assert_eq!(
-                    Some(quote.makespan.to_bits()),
+                    Some(eng.load_makespan(0).unwrap().to_bits()),
                     loo.optimal_makespan().map(f64::to_bits),
                     "{model} m={m} step={step} makespan"
                 );
-                let frac = quote.fractions.to_vec();
+                let frac = eng.fractions(0).unwrap().to_vec();
                 assert_bits_eq(&frac, &expect, &format!("{model} m={m} step={step} fractions"));
             }
         }
@@ -116,7 +122,7 @@ fn engine_payments_match_one_shot_solve_bitwise() {
     for model in ALL_MODELS {
         for (seed, m) in [(61u64, 1usize), (62, 2), (63, 4), (64, 19), (65, 96)] {
             let bids = quantized_rates(m, 1.0, 8.0, seed, 64);
-            let mut eng = AuctionEngine::new(model, Z, bids).unwrap();
+            let mut eng = MultiLoadEngine::new(model, &bids, &UNIT).unwrap();
             for (i, bid) in update_schedule(m, seed ^ 0x7e57) {
                 eng.submit_bid(i, bid).unwrap();
             }
@@ -131,7 +137,8 @@ fn engine_payments_match_one_shot_solve_bitwise() {
             let params = BusParams::new(Z, eng.bids().to_vec()).unwrap();
             let alloc = optimal::fractions(model, &params);
             let expect = compute_payments(model, &params, &alloc, &observed);
-            let got = eng.payments(&observed).unwrap();
+            let mut got = Vec::new();
+            eng.payments_into(0, &observed, &mut got).unwrap();
             // Payment derives PartialEq over raw f64 — exact equality, and
             // the schedule never produces NaN, so == is to_bits equality.
             assert_eq!(got, expect.as_slice(), "{model} m={m} seed={seed}");
@@ -147,13 +154,13 @@ fn head_slot_updates_refresh_the_special_links() {
     for model in ALL_MODELS {
         for m in [2usize, 3, 4] {
             let bids = quantized_rates(m, 1.0, 8.0, 71, 64);
-            let mut eng = AuctionEngine::new(model, Z, bids).unwrap();
+            let mut eng = MultiLoadEngine::new(model, &bids, &UNIT).unwrap();
             for (step, &bid) in [0.5, 7.5, 1.015625, 3.25].iter().enumerate() {
                 for i in [0, m - 1, m.saturating_sub(2)] {
                     eng.submit_bid(i, bid + i as f64 / 64.0).unwrap();
                     let params = BusParams::new(Z, eng.bids().to_vec()).unwrap();
                     let expect = optimal::fractions(model, &params);
-                    let frac = eng.fractions().to_vec();
+                    let frac = eng.fractions(0).unwrap().to_vec();
                     assert_bits_eq(
                         &frac,
                         &expect,
@@ -167,23 +174,25 @@ fn head_slot_updates_refresh_the_special_links() {
 
 #[test]
 fn mixed_incremental_and_rebuild_streams_stay_identical() {
-    // Interleave the two engine paths over the same update stream: the
-    // incremental engine must never drift from the rebuild engine.
+    // Interleave the two update paths over the same update stream: the
+    // splicing engine must never drift from a scheduler that rebuilds its
+    // chain from scratch on every bid.
     for model in ALL_MODELS {
         let m = 48;
         let bids = quantized_rates(m, 1.0, 8.0, 81, 64);
-        let mut inc = AuctionEngine::new(model, Z, bids.clone()).unwrap();
-        let mut full = AuctionEngine::new(model, Z, bids).unwrap();
+        let mut inc = MultiLoadEngine::new(model, &bids, &UNIT).unwrap();
+        let mut full = InstallmentScheduler::new(model, &bids, &UNIT).unwrap();
+        let mut b = Vec::new();
         for (step, (i, bid)) in update_schedule(m, 82).into_iter().enumerate() {
             inc.submit_bid(i, bid).unwrap();
-            full.submit_bid_rebuild(i, bid).unwrap();
+            full.update_bid_rebuild(i, bid).unwrap();
             assert_eq!(
-                inc.optimal_makespan().to_bits(),
-                full.optimal_makespan().to_bits(),
+                inc.load_makespan(0).unwrap().to_bits(),
+                full.load_makespan(0).unwrap().to_bits(),
                 "{model} step={step} makespan"
             );
-            let a = inc.fractions().to_vec();
-            let b = full.fractions().to_vec();
+            let a = inc.fractions(0).unwrap().to_vec();
+            full.fractions_into(0, &mut b).unwrap();
             assert_bits_eq(&a, &b, &format!("{model} step={step} fractions"));
         }
     }

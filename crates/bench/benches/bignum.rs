@@ -5,27 +5,30 @@
 //! every fixed width.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dls_num::limbs::{words_for, FIXED_WIDTHS};
+use dls_num::limbs::FIXED_WIDTHS;
 use dls_num::{gcd, modmath, with_limbs, BigUint, ExpWindows, Limbs, LimbsVisitor, MontgomeryCtx};
 use std::hint::black_box;
 
-fn value(limbs: usize, seed: u32) -> BigUint {
-    let mut v = Vec::with_capacity(limbs);
+/// A full-width value of `words` 64-bit words.
+fn value(words: usize, seed: u64) -> BigUint {
+    let mut v = Vec::with_capacity(words);
     let mut x = seed | 1;
-    for i in 0..limbs {
-        x = x.wrapping_mul(2654435761).wrapping_add(i as u32 | 1);
+    for i in 0..words {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(i as u64 | 1);
         v.push(x);
     }
-    v[limbs - 1] |= 0x8000_0000; // full width
+    v[words - 1] |= 1 << 63;
     BigUint::from_limbs_le(v)
 }
 
 fn bench_mul(c: &mut Criterion) {
     let mut g = c.benchmark_group("bignum/mul");
-    for &limbs in &[8usize, 24, 48, 128, 512] {
-        let a = value(limbs, 1);
-        let b = value(limbs, 2);
-        g.bench_with_input(BenchmarkId::from_parameter(limbs * 32), &(a, b), |bch, (a, b)| {
+    for &words in &[4usize, 12, 24, 64, 256] {
+        let a = value(words, 1);
+        let b = value(words, 2);
+        g.bench_with_input(BenchmarkId::from_parameter(words * 64), &(a, b), |bch, (a, b)| {
             bch.iter(|| black_box(a * b))
         });
     }
@@ -34,11 +37,11 @@ fn bench_mul(c: &mut Criterion) {
 
 fn bench_divrem(c: &mut Criterion) {
     let mut g = c.benchmark_group("bignum/divrem");
-    for &(n, d) in &[(32usize, 16usize), (128, 64), (512, 256)] {
+    for &(n, d) in &[(16usize, 8usize), (64, 32), (256, 128)] {
         let a = value(n, 3);
         let b = value(d, 4);
         g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{}by{}", n * 32, d * 32)),
+            BenchmarkId::from_parameter(format!("{}by{}", n * 64, d * 64)),
             &(a, b),
             |bch, (a, b)| bch.iter(|| black_box(a.divrem(b))),
         );
@@ -48,10 +51,10 @@ fn bench_divrem(c: &mut Criterion) {
 
 fn bench_gcd(c: &mut Criterion) {
     let mut g = c.benchmark_group("bignum/gcd");
-    for &limbs in &[8usize, 32, 128] {
-        let a = value(limbs, 5);
-        let b = value(limbs, 6);
-        g.bench_with_input(BenchmarkId::from_parameter(limbs * 32), &(a, b), |bch, (a, b)| {
+    for &words in &[4usize, 16, 64] {
+        let a = value(words, 5);
+        let b = value(words, 6);
+        g.bench_with_input(BenchmarkId::from_parameter(words * 64), &(a, b), |bch, (a, b)| {
             bch.iter(|| black_box(gcd(a, b)))
         });
     }
@@ -62,10 +65,10 @@ fn bench_pow_mod(c: &mut Criterion) {
     let mut g = c.benchmark_group("bignum/pow_mod");
     g.sample_size(20);
     for &bits in &[384usize, 512, 1024] {
-        let limbs = bits / 32;
-        let base = value(limbs, 7);
-        let exp = value(limbs, 8);
-        let mut modulus = value(limbs, 9);
+        let words = bits / 64;
+        let base = value(words, 7);
+        let exp = value(words, 8);
+        let mut modulus = value(words, 9);
         modulus.set_bit(0, true); // odd
         g.bench_with_input(
             BenchmarkId::from_parameter(bits),
@@ -87,15 +90,15 @@ fn bench_mont_pow(c: &mut Criterion) {
     let mut g = c.benchmark_group("bignum/mont_pow");
     g.sample_size(20);
     for &bits in &[256usize, 384, 512, 1024, 2048] {
-        let limbs = bits / 32;
-        let modulus = odd(value(limbs, 9));
+        let words = bits / 64;
+        let modulus = odd(value(words, 9));
         with_limbs(
-            words_for(&modulus),
+            words,
             MontPow {
                 g: &mut g,
                 bits,
-                base: &value(limbs, 7),
-                exp: &value(limbs, 8),
+                base: &value(words, 7),
+                exp: &value(words, 8),
                 modulus: &modulus,
             },
         );
@@ -142,7 +145,7 @@ impl LimbsVisitor for MontPow<'_, '_, '_> {
 fn bench_mont_mul(c: &mut Criterion) {
     let mut g = c.benchmark_group("bignum/mont_mul");
     for width in FIXED_WIDTHS {
-        let modulus = odd(value(2 * width, 11));
+        let modulus = odd(value(width, 11));
         with_limbs(
             width,
             MontMul {
@@ -163,8 +166,8 @@ impl LimbsVisitor for MontMul<'_, '_, '_> {
     type Output = ();
     fn visit<L: Limbs>(self, width: usize) {
         let ctx = MontgomeryCtx::<L>::new(self.modulus, width).expect("odd modulus");
-        let a = ctx.reduce(&value(2 * width, 12));
-        let b = ctx.reduce(&value(2 * width, 13));
+        let a = ctx.reduce(&value(width, 12));
+        let b = ctx.reduce(&value(width, 13));
         self.g
             .bench_function(BenchmarkId::from_parameter(width), |bch| {
                 bch.iter(|| {

@@ -39,9 +39,7 @@
 
 use crate::rsa::padded;
 use crate::sha256::{self, Digest};
-use dls_num::limbs::{
-    be_bytes_minimal, biguint_from_limbs, limbs_from_biguint, load_be, mul_add_wide, words_for,
-};
+use dls_num::limbs::{be_bytes_minimal, limbs_from_biguint, load_be, mul_add_wide};
 use dls_num::{modmath, with_limbs, BigUint, ExpWindows, Limbs, LimbsVisitor, MontgomeryCtx};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -93,7 +91,7 @@ impl<L: Limbs> VerifyKernel for PublicHalf<L> {
     }
 
     fn modulus(&self) -> BigUint {
-        biguint_from_limbs(self.n.modulus().words())
+        BigUint::from_limbs_le(self.n.modulus().words().to_vec())
     }
 
     fn width(&self) -> usize {
@@ -124,7 +122,7 @@ impl VerifyCtx {
                 }))
             }
         }
-        let kernel = with_limbs(words_for(n), Build(n, e))?;
+        let kernel = with_limbs(n.limbs().len(), Build(n, e))?;
         Some(VerifyCtx { kernel })
     }
 
@@ -218,7 +216,7 @@ impl<L: Limbs> SignKernel for CrtHalves<L> {
     }
 
     fn factors(&self) -> [BigUint; 2] {
-        [&self.p, &self.q].map(|f| biguint_from_limbs(f.modulus().words()))
+        [&self.p, &self.q].map(|f| BigUint::from_limbs_le(f.modulus().words().to_vec()))
     }
 
     fn width(&self) -> usize {
@@ -269,7 +267,7 @@ impl SignCtx {
                 }))
             }
         }
-        let width = words_for(p).max(words_for(q));
+        let width = p.limbs().len().max(q.limbs().len());
         let kernel = with_limbs(width, Build(p, q, d))?;
         Some(SignCtx { kernel })
     }

@@ -1,6 +1,5 @@
 //! Primality testing and prime generation for the RSA substrate.
 
-use dls_num::limbs::words_for;
 use dls_num::{with_limbs, BigUint, ExpWindows, Limbs, LimbsVisitor, MontgomeryCtx};
 use rand::Rng;
 
@@ -54,7 +53,7 @@ pub fn is_prime(n: &BigUint, rng: &mut impl Rng) -> bool {
     };
 
     with_limbs(
-        words_for(n),
+        n.limbs().len(),
         MillerRabin {
             n,
             d: &d,
@@ -135,16 +134,23 @@ pub fn random_below(rng: &mut impl Rng, bound: &BigUint) -> BigUint {
 }
 
 /// Random value with exactly `bits` random low bits (top bits not forced).
+///
+/// Draws `bits / 32` rounded up `u32` values and packs them two per word,
+/// low draw first.
 pub fn random_bits(rng: &mut impl Rng, bits: usize) -> BigUint {
-    let limbs = bits.div_ceil(32);
-    let mut v: Vec<u32> = (0..limbs).map(|_| rng.gen()).collect();
-    let extra = limbs * 32 - bits;
-    if extra > 0 {
-        if let Some(top) = v.last_mut() {
-            *top &= u32::MAX >> extra;
-        }
+    let draws = bits.div_ceil(32);
+    let mut words: Vec<u64> = (0..draws.div_ceil(2))
+        .map(|i| {
+            let lo = u64::from(rng.gen::<u32>());
+            let hi = if 2 * i + 1 < draws { u64::from(rng.gen::<u32>()) } else { 0 };
+            hi << 32 | lo
+        })
+        .collect();
+    let extra = 64 * words.len() - bits;
+    if let Some(top) = words.last_mut() {
+        *top &= u64::MAX >> extra;
     }
-    BigUint::from_limbs_le(v)
+    BigUint::from_limbs_le(words)
 }
 
 /// Generates a random prime with exactly `bits` significant bits.
@@ -214,8 +220,7 @@ mod tests {
 
     #[test]
     fn agrees_with_trial_division_across_the_word_boundary() {
-        // Candidates below 2³² fit one u32 limb, those above need two; both
-        // pack into one u64 Montgomery word.
+        // Candidates on both sides of 2³², all in one u64 word.
         let mut r = rng();
         let (lo, hi) = ((1u64 << 32) - 4096, (1u64 << 32) + 4096);
         let mut primes = 0;
@@ -264,6 +269,14 @@ mod tests {
         for _ in 0..200 {
             assert!(random_below(&mut r, &bound) < bound);
         }
+    }
+
+    #[test]
+    fn random_bits_matches_known_answer() {
+        // Seven u32 draws, the last masked to 8 bits: the value pins both
+        // the draw order and how the draws are packed into words.
+        let v = random_bits(&mut StdRng::seed_from_u64(2024), 200);
+        assert_eq!(format!("{v:x}"), "ca8d6b7b6dd4a0c1651dbe69e04c6f7cbf18e430bb9f6d8fec");
     }
 
     #[test]

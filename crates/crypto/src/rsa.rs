@@ -400,6 +400,37 @@ mod tests {
         }
     }
 
+    /// Known answers for [`generate`] under fixed seeds: the modulus, the
+    /// private exponent and one signature, as hex. Any change to how
+    /// primes are drawn, tested or combined moves them.
+    #[test]
+    fn generated_keys_and_signatures_match_known_answers() {
+        let cases: [(usize, u64, &str, &str, &str); 2] = [
+            (
+                384,
+                3,
+                "cb851a074702640db75f34dc4b5d630012b4893ab3ca463a6e8bf07333a40eda42446da6554e95bf356a08946ac0a233",
+                "3e411dc0222182178c030c79627853833f358850b394693c84c9ba918562700a926ff45765c072fe44159c241879f8e9",
+                "454d282a007d4c726dad550744e37ca2693e4efd77dcbb81bcbfaafa76b83bdbfe32e383d56cccda12eb133224c89bbd",
+            ),
+            (
+                512,
+                5,
+                "b0867220563f99e6e73c0c12d785b04c15b866308c3670b7c008587a4197b3971d056cede80d9f15f7c15664c3144f49949260d9fa4e994537120cec5bb0aa03",
+                "5da2832909f6e4a0e9691d92650601f4e9d48d481527cf74788534c16cc79637a07b28a47635471ec3e1d43bb53b2724c74cadb057ecf993ba7d873d2f9e0371",
+                "67f27c71cfa39b01f15015295ee85481e971807093ea60802c062158a3d6a339040bac538e839845cb901d3301565e56ef448054a1041b5d73b8e0e4f073179e",
+            ),
+        ];
+        let digest = sha256::digest(b"bid: P3 offers w=2.25");
+        for (bits, seed, n, d, sig) in cases {
+            let (pk, sk) = generate(bits, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+            assert_eq!(format!("{:x}", pk.n), n, "{bits}-bit modulus");
+            assert_eq!(format!("{:x}", sk.d), d, "{bits}-bit private exponent");
+            assert_eq!(hex(&sk.sign_digest(&digest).0), sig, "{bits}-bit signature");
+        }
+    }
+
     #[test]
     fn only_the_public_half_holds_a_modulus_n_context() {
         let (pk, sk) = keypair();

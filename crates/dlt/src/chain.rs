@@ -265,20 +265,6 @@ where
         self.rebuild();
     }
 
-    /// Replaces the whole rate vector and rebuilds — the market-reload
-    /// path (retains every buffer, so reloading `n` markets of equal size
-    /// through one chain performs zero allocations after the first).
-    ///
-    /// # Panics
-    /// Panics if `w.len() != self.m()` or any rate is invalid.
-    pub fn reload(&mut self, w: &[T]) {
-        assert_eq!(w.len(), self.m(), "rate vector length mismatch");
-        for (i, x) in w.iter().enumerate() {
-            T::set_rate(&mut self.params, i, x.clone());
-        }
-        self.rebuild();
-    }
-
     /// Head cost `c(x)` of a multi-processor market whose first surviving
     /// processor has rate `x`: `z + x` for CP and NCP-NFE, `x` for NCP-FE
     /// (the FE originator computes while it transmits).
@@ -572,22 +558,6 @@ mod tests {
                 fresh.optimal_makespan().to_bits(),
                 "{model}"
             );
-        }
-    }
-
-    #[test]
-    fn reload_matches_fresh_build() {
-        let p = params(0.2, &[1.0, 2.0, 3.0, 4.0]);
-        for model in ALL_MODELS {
-            let mut chain = ChainState::new(model, &p);
-            chain.update_bid(2, 9.0); // dirty it first
-            let next = [2.0, 1.0, 4.0, 3.0];
-            chain.reload(&next);
-            let fresh = ChainState::new(model, &params(0.2, &next));
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            chain.fractions_into(&mut a);
-            fresh.fractions_into(&mut b);
-            assert_eq!(bits(&a), bits(&b), "{model}");
         }
     }
 

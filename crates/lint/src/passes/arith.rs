@@ -12,9 +12,8 @@
 //! Heuristic, lexical, and deliberately noisy-by-default in scope: a line
 //! is exempt when it shows its own evidence of discipline (an explicit
 //! `wrapping_*`/`checked_*`/`overflowing_*`/`saturating_*`/`carrying_*`
-//! call, or a cast to a type at least twice the file's limb width — `as u64`
-//! widens a `u32` limb, but in the `u64`-word Montgomery kernel only
-//! `as u128`/`as i128` does); an operator is
+//! call, or a widening cast to `u128`/`i128`, twice the `u64` limb width of
+//! every scoped file); an operator is
 //! exempt when one operand is a literal or a SCREAMING_CASE named
 //! constant (small-step index bookkeeping like `i + 1` can't overflow
 //! before memory does), or when it sits inside `[...]` (index expressions
@@ -28,29 +27,22 @@ use crate::lexer::{Token, TokenKind};
 use crate::rules::{in_ranges, UNCHECKED_ARITH};
 use crate::SourceFile;
 
-/// The limb kernels whose arithmetic feeds exact payments — including the
-/// Montgomery kernel, its word storage and byte/limb boundary, and the
-/// per-key RSA contexts built on them, which carry the RSA hot path on
-/// `u64` words — each with its limb width in bits.
-pub(crate) const SCOPE: &[(&str, u32)] = &[
-    ("crates/num/src/biguint.rs", 32),
-    ("crates/num/src/bigint.rs", 32),
-    ("crates/num/src/limbs.rs", 64),
-    ("crates/num/src/montgomery.rs", 64),
-    ("crates/crypto/src/ctx.rs", 64),
+/// The limb kernels whose arithmetic feeds exact payments — the slice
+/// kernels and word storage, the integers and modular arithmetic on them,
+/// the Montgomery kernel and the per-key RSA contexts built on it. All
+/// compute in `u64` limbs.
+pub(crate) const SCOPE: &[&str] = &[
+    "crates/num/src/biguint.rs",
+    "crates/num/src/bigint.rs",
+    "crates/num/src/limbs.rs",
+    "crates/num/src/modmath.rs",
+    "crates/num/src/montgomery.rs",
+    "crates/crypto/src/ctx.rs",
 ];
-
-/// The limb width (bits) of `rel`, or `None` when the pass skips it.
-fn limb_bits(rel: &str) -> Option<u32> {
-    SCOPE
-        .iter()
-        .find(|(path, _)| *path == rel)
-        .map(|&(_, bits)| bits)
-}
 
 /// `true` when the pass evaluates in `rel`.
 pub fn in_scope(rel: &str) -> bool {
-    limb_bits(rel).is_some()
+    SCOPE.contains(&rel)
 }
 
 /// Keywords that make a preceding-token position a unary (not binary)
@@ -67,15 +59,9 @@ const DISCIPLINE_PREFIXES: &[&str] = &[
     "borrowing_",
 ];
 
-/// `true` when a cast to `ty` absorbs a product or sum of two limbs of
-/// `limb_bits` bits: the target must be at least twice as wide.
-fn widens(ty: &str, limb_bits: u32) -> bool {
-    let bits = match ty {
-        "u64" | "i64" => 64,
-        "u128" | "i128" => 128,
-        _ => return false,
-    };
-    bits >= 2 * limb_bits
+/// `true` when a cast to `ty` absorbs a product or sum of two `u64` limbs.
+fn widens(ty: &str) -> bool {
+    matches!(ty, "u128" | "i128")
 }
 
 fn is_screaming_const(text: &str) -> bool {
@@ -112,9 +98,9 @@ fn operand_exempt(t: &Token) -> bool {
 pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> bool {
     let mut activated = false;
     for (idx, sf) in files.iter().enumerate() {
-        let Some(limb_bits) = limb_bits(&sf.rel) else {
+        if !in_scope(&sf.rel) {
             continue;
-        };
+        }
         activated = true;
         let toks = &sf.lexed.tokens;
 
@@ -129,7 +115,7 @@ pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> b
                 || (t.text == "as"
                     && toks
                         .get(i + 1)
-                        .is_some_and(|n| widens(&n.text, limb_bits)));
+                        .is_some_and(|n| widens(&n.text)));
             if proves && !evidenced.contains(&t.line) {
                 evidenced.push(t.line);
             }

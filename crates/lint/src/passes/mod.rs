@@ -59,11 +59,11 @@ pub fn scope_paths() -> Vec<&'static str> {
         determinism::UNORDERED_SCOPE_PREFIXES,
         lock_order::SCOPE,
         float_ops::SCOPE,
+        arith::SCOPE,
     ] {
         paths.extend_from_slice(scope);
     }
     paths.push(state_machine::EXECUTOR);
-    paths.extend(arith::SCOPE.iter().map(|&(path, _)| path));
     paths
 }
 

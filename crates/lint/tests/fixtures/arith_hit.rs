@@ -3,7 +3,7 @@
 
 const LIMB_MASK: u64 = 0xffff_ffff;
 
-pub fn bare(a: u64, b: u64, c1: u32, c2: u32, tbl: &[u64], i: usize, j: usize) -> u64 {
+pub fn bare(a: u64, b: u64, c1: u64, c2: u64, tbl: &[u64], i: usize, j: usize) -> u64 {
     let s = a + b;
     let d = s - b;
     let p = d * b;
@@ -17,7 +17,7 @@ pub fn bare(a: u64, b: u64, c1: u32, c2: u32, tbl: &[u64], i: usize, j: usize) -
     // Exempt: discipline evidence on the line.
     let w = a.wrapping_add(b);
     let c = a.checked_mul(b);
-    let wide = (c1 as u64) * (c2 as u64);
+    let wide = (c1 as u128 * c2 as u128 >> 64) as u64;
     // Exempt: literal or named-constant operand.
     let step = w + 1;
     let masked = LIMB_MASK * step;

@@ -1,7 +1,7 @@
-//! Unchecked-arith-pass limb-width fixture: `as u64` widens a `u32` limb
-//! but not a `u64` word, so the same line is exempt in a `u32`-limb file
-//! and flagged in the `u64`-word Montgomery kernel; `as u128` exempts in
-//! both.
+//! Unchecked-arith-pass limb-width fixture: every scoped file computes in
+//! `u64` limbs, so `as u64` widens nothing and the sum on line 7 is
+//! flagged in each of them, while `as u128` exempts the product on the
+//! line below it.
 
 pub fn word_step(a: &[u64], t: &[u64], j: usize) -> (u64, u128) {
     let narrow = a[j] as u64 + t[j];

@@ -1,23 +1,22 @@
 //! Arbitrary-precision unsigned integer.
 //!
-//! Little-endian `Vec<u32>` limb representation, normalized so the most
-//! significant limb is non-zero (zero is the empty vector). Every pairwise
-//! limb product fits in `u64`, which keeps the schoolbook kernels free of
-//! overflow gymnastics.
+//! Little-endian `Vec<u64>` limb representation, normalized so the most
+//! significant limb is non-zero (zero is the empty vector). The arithmetic
+//! runs on the slice kernels in [`crate::limbs`], the same ones under
+//! `modmath` and the Montgomery kernel.
 
+use crate::limbs::{
+    add_in_place, add_words, cmp_words, div_rem_1, div_rem_in_place, mac_row, mul_into,
+    shl_in_place, shr_in_place, sub_in_place,
+};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, BitAnd, Div, Mul, Rem, Shl, Shr, Sub};
 
-/// Number of decimal digits that fit a single `u32` chunk when parsing and
-/// printing (10^9 < 2^32).
-const DEC_CHUNK_DIGITS: usize = 9;
-const DEC_CHUNK_RADIX: u32 = 1_000_000_000;
-
-/// Limb count above which multiplication switches from schoolbook to
-/// Karatsuba. Chosen empirically; correctness does not depend on it (property
-/// tests exercise both paths by straddling the threshold).
-const KARATSUBA_THRESHOLD: usize = 32;
+/// Number of decimal digits that fit a single `u64` chunk when parsing and
+/// printing (10^19 < 2^64).
+const DEC_CHUNK_DIGITS: usize = 19;
+const DEC_CHUNK_RADIX: u64 = 10_000_000_000_000_000_000;
 
 /// Error returned when parsing a [`BigUint`] from a string fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +45,7 @@ impl std::error::Error for ParseBigUintError {}
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BigUint {
     /// Little-endian limbs; no trailing zeros; empty == 0.
-    limbs: Vec<u32>,
+    limbs: Vec<u64>,
 }
 
 impl BigUint {
@@ -62,21 +61,21 @@ impl BigUint {
         BigUint { limbs: vec![1] }
     }
 
-    /// Builds a value from little-endian `u32` limbs (trailing zeros allowed).
-    pub fn from_limbs_le(limbs: Vec<u32>) -> Self {
+    /// Builds a value from little-endian `u64` limbs (trailing zeros allowed).
+    pub fn from_limbs_le(limbs: Vec<u64>) -> Self {
         let mut v = BigUint { limbs };
         v.normalize();
         v
     }
 
     /// Returns the little-endian limbs (no trailing zeros).
-    pub fn limbs(&self) -> &[u32] {
+    pub fn limbs(&self) -> &[u64] {
         &self.limbs
     }
 
     /// Replaces `self`'s value with the little-endian limbs in `src`
     /// (trailing zeros allowed), reusing the existing allocation.
-    pub(crate) fn assign_from_slice(&mut self, src: &[u32]) {
+    pub(crate) fn assign_from_slice(&mut self, src: &[u64]) {
         self.limbs.clear();
         self.limbs.extend_from_slice(src);
         self.normalize();
@@ -104,19 +103,19 @@ impl BigUint {
     pub fn bits(&self) -> usize {
         match self.limbs.last() {
             None => 0,
-            Some(&top) => (self.limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
+            Some(&top) => (self.limbs.len() - 1) * 64 + (64 - top.leading_zeros() as usize),
         }
     }
 
     /// Returns bit `i` (little-endian bit order).
     pub fn bit(&self, i: usize) -> bool {
-        let (limb, off) = (i / 32, i % 32);
+        let (limb, off) = (i / 64, i % 64);
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
     /// Sets bit `i` to `value`, growing the limb vector as needed.
     pub fn set_bit(&mut self, i: usize, value: bool) {
-        let (limb, off) = (i / 32, i % 32);
+        let (limb, off) = (i / 64, i % 64);
         if value {
             if self.limbs.len() <= limb {
                 self.limbs.resize(limb + 1, 0);
@@ -136,24 +135,21 @@ impl BigUint {
 
     /// Converts to `u64`, returning `None` on overflow.
     pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u64),
-            2 => Some(self.limbs[0] as u64 | (self.limbs[1] as u64) << 32),
+        match *self.limbs {
+            [] => Some(0),
+            [w] => Some(w),
             _ => None,
         }
     }
 
     /// Converts to `u128`, returning `None` on overflow.
     pub fn to_u128(&self) -> Option<u128> {
-        if self.limbs.len() > 4 {
-            return None;
+        match *self.limbs {
+            [] => Some(0),
+            [w] => Some(w.into()),
+            [lo, hi] => Some(u128::from(hi) << 64 | u128::from(lo)),
+            _ => None,
         }
-        let mut v: u128 = 0;
-        for (i, &l) in self.limbs.iter().enumerate() {
-            v |= (l as u128) << (32 * i);
-        }
-        Some(v)
     }
 
     /// Lossy conversion to `f64` (round-to-nearest on the top 64 bits).
@@ -189,14 +185,14 @@ impl BigUint {
     /// Parses a decimal string (ASCII digits only, no sign, underscores
     /// permitted as separators).
     pub fn from_dec_str(s: &str) -> Result<Self, ParseBigUintError> {
-        let digits: Vec<u32> = {
+        let digits: Vec<u64> = {
             let mut ds = Vec::with_capacity(s.len());
             for c in s.chars() {
                 if c == '_' {
                     continue;
                 }
                 match c.to_digit(10) {
-                    Some(d) => ds.push(d),
+                    Some(d) => ds.push(u64::from(d)),
                     None => {
                         return Err(ParseBigUintError {
                             kind: ParseErrorKind::InvalidDigit(c),
@@ -212,10 +208,10 @@ impl BigUint {
             });
         }
         let mut acc = BigUint::zero();
-        // Consume 9 digits at a time: acc = acc * 10^k + chunk.
+        // Consume 19 digits at a time: acc = acc * 10^k + chunk.
         for group in digits.chunks(DEC_CHUNK_DIGITS) {
-            let mut chunk: u32 = 0;
-            let mut radix: u32 = 1;
+            let mut chunk: u64 = 0;
+            let mut radix: u64 = 1;
             for &d in group {
                 chunk = chunk * 10 + d;
                 radix = radix.saturating_mul(10);
@@ -253,17 +249,16 @@ impl BigUint {
                 kind: ParseErrorKind::Empty,
             });
         }
-        let mut limbs = vec![0u32; nibbles.len().div_ceil(8)];
+        let mut limbs = vec![0u64; nibbles.len().div_ceil(16)];
         for (i, &n) in nibbles.iter().rev().enumerate() {
-            // dls-lint: allow(unchecked-arith) -- nibble < 16 shifted by at most 28 fits u32
-            limbs[i / 8] |= n << (4 * (i % 8));
+            limbs[i / 16] |= u64::from(n).wrapping_shl(4 * (i % 16) as u32);
         }
         Ok(BigUint::from_limbs_le(limbs))
     }
 
     /// Serializes to big-endian bytes with no leading zeros (`0` → empty).
     pub fn to_bytes_be(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.limbs.len() * 4);
+        let mut out = Vec::with_capacity(self.limbs.len() * 8);
         for &l in self.limbs.iter().rev() {
             out.extend_from_slice(&l.to_be_bytes());
         }
@@ -274,46 +269,29 @@ impl BigUint {
 
     /// Parses from big-endian bytes (leading zeros allowed).
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
-        let mut limbs = vec![0u32; bytes.len().div_ceil(4)];
+        let mut limbs = vec![0u64; bytes.len().div_ceil(8)];
         for (i, &b) in bytes.iter().rev().enumerate() {
-            // dls-lint: allow(unchecked-arith) -- byte < 256 shifted by at most 24 fits u32
-            limbs[i / 4] |= (b as u32) << (8 * (i % 4));
+            limbs[i / 8] |= u64::from(b).wrapping_shl(8 * (i % 8) as u32);
         }
         BigUint::from_limbs_le(limbs)
     }
 
-    /// Multiplies by a single `u32` limb.
-    pub fn mul_small(&self, rhs: u32) -> BigUint {
-        if rhs == 0 || self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry: u64 = 0;
-        for &l in &self.limbs {
-            let p = l as u64 * rhs as u64 + carry;
-            out.push(p as u32);
-            carry = p >> 32;
-        }
-        if carry != 0 {
-            out.push(carry as u32);
-        }
+    /// Multiplies by a single `u64` limb.
+    pub fn mul_small(&self, rhs: u64) -> BigUint {
+        let mut out = vec![0; self.limbs.len() + 1];
+        out[self.limbs.len()] = mac_row(&mut out, &self.limbs, rhs);
         BigUint::from_limbs_le(out)
     }
 
-    /// Divides by a single `u32`, returning `(quotient, remainder)`.
+    /// Divides by a single `u64`, returning `(quotient, remainder)`.
     ///
     /// # Panics
     /// Panics if `rhs == 0`.
-    pub fn divrem_small(&self, rhs: u32) -> (BigUint, u32) {
+    pub fn divrem_small(&self, rhs: u64) -> (BigUint, u64) {
         assert!(rhs != 0, "division by zero");
-        let mut out = vec![0u32; self.limbs.len()];
-        let mut rem: u64 = 0;
-        for (i, &l) in self.limbs.iter().enumerate().rev() {
-            let cur = (rem << 32) | l as u64;
-            out[i] = (cur / rhs as u64) as u32;
-            rem = cur % rhs as u64;
-        }
-        (BigUint::from_limbs_le(out), rem as u32)
+        let mut q = self.limbs.clone();
+        let r = div_rem_1(&mut q, rhs);
+        (BigUint::from_limbs_le(q), r)
     }
 
     /// Checked subtraction: `None` if `rhs > self`.
@@ -321,7 +299,9 @@ impl BigUint {
         if self < rhs {
             return None;
         }
-        Some(sub_unchecked(&self.limbs, &rhs.limbs))
+        let mut out = self.limbs.clone();
+        sub_in_place(&mut out, &rhs.limbs);
+        Some(BigUint::from_limbs_le(out))
     }
 
     /// Euclidean division returning `(quotient, remainder)`.
@@ -335,11 +315,10 @@ impl BigUint {
             Ordering::Equal => return (BigUint::one(), BigUint::zero()),
             Ordering::Greater => {}
         }
-        if divisor.limbs.len() == 1 {
-            let (q, r) = self.divrem_small(divisor.limbs[0]);
-            return (q, BigUint::from(r));
-        }
-        knuth_d(self, divisor)
+        let mut rem = self.limbs.clone();
+        let mut q = vec![0; self.limbs.len() + 1 - divisor.limbs.len()];
+        div_rem_in_place(&mut rem, &divisor.limbs, &mut Vec::new(), Some(&mut q));
+        (BigUint::from_limbs_le(q), BigUint { limbs: rem })
     }
 
     /// Raises `self` to the power `exp` by binary exponentiation.
@@ -383,24 +362,19 @@ impl BigUint {
 
 impl From<u32> for BigUint {
     fn from(v: u32) -> Self {
-        BigUint::from_limbs_le(vec![v])
+        BigUint::from(u64::from(v))
     }
 }
 
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {
-        BigUint::from_limbs_le(vec![v as u32, (v >> 32) as u32])
+        BigUint::from_limbs_le(vec![v])
     }
 }
 
 impl From<u128> for BigUint {
     fn from(v: u128) -> Self {
-        BigUint::from_limbs_le(vec![
-            v as u32,
-            (v >> 32) as u32,
-            (v >> 64) as u32,
-            (v >> 96) as u32,
-        ])
+        BigUint::from_limbs_le(vec![v as u64, (v >> 64) as u64])
     }
 }
 
@@ -416,17 +390,7 @@ impl From<usize> for BigUint {
 
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        for (a, b) in self.limbs.iter().rev().zip(other.limbs.iter().rev()) {
-            match a.cmp(b) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
+        cmp_words(&self.limbs, &other.limbs)
     }
 }
 
@@ -437,219 +401,13 @@ impl PartialOrd for BigUint {
 }
 
 // ---------------------------------------------------------------------------
-// Arithmetic kernels
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::needless_range_loop)] // indexing two slices in lockstep
-fn add_limbs(a: &[u32], b: &[u32]) -> BigUint {
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(long.len() + 1);
-    let mut carry: u64 = 0;
-    for i in 0..long.len() {
-        let s = long[i] as u64 + short.get(i).copied().unwrap_or(0) as u64 + carry;
-        out.push(s as u32);
-        carry = s >> 32;
-    }
-    if carry != 0 {
-        out.push(carry as u32);
-    }
-    BigUint::from_limbs_le(out)
-}
-
-/// `a - b` assuming `a >= b`.
-#[allow(clippy::needless_range_loop)] // indexing two slices in lockstep
-fn sub_unchecked(a: &[u32], b: &[u32]) -> BigUint {
-    debug_assert!(a.len() >= b.len());
-    let mut out = Vec::with_capacity(a.len());
-    let mut borrow: i64 = 0;
-    for i in 0..a.len() {
-        let d = a[i] as i64 - b.get(i).copied().unwrap_or(0) as i64 - borrow;
-        if d < 0 {
-            // dls-lint: allow(unchecked-arith) -- d in (-2^32, 0), so d + 2^32 fits i64 and u32
-            out.push((d + (1i64 << 32)) as u32);
-            borrow = 1;
-        } else {
-            out.push(d as u32);
-            borrow = 0;
-        }
-    }
-    debug_assert_eq!(borrow, 0, "subtraction underflow");
-    BigUint::from_limbs_le(out)
-}
-
-fn mul_schoolbook(a: &[u32], b: &[u32]) -> BigUint {
-    if a.is_empty() || b.is_empty() {
-        return BigUint::zero();
-    }
-    let mut out = vec![0u32; a.len() + b.len()];
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        let mut carry: u64 = 0;
-        for (j, &bj) in b.iter().enumerate() {
-            let t = ai as u64 * bj as u64 + out[i + j] as u64 + carry;
-            out[i + j] = t as u32;
-            carry = t >> 32;
-        }
-        // dls-lint: allow(unchecked-arith) -- i < a.len(), so k <= out.len(), memory-bounded
-        let mut k = i + b.len();
-        while carry != 0 {
-            let t = out[k] as u64 + carry;
-            out[k] = t as u32;
-            carry = t >> 32;
-            k += 1;
-        }
-    }
-    BigUint::from_limbs_le(out)
-}
-
-fn mul_karatsuba(a: &[u32], b: &[u32]) -> BigUint {
-    let n = a.len().min(b.len());
-    if n < KARATSUBA_THRESHOLD {
-        return mul_schoolbook(a, b);
-    }
-    let half = a.len().max(b.len()) / 2;
-    let (a0, a1) = split_at_clamped(a, half);
-    let (b0, b1) = split_at_clamped(b, half);
-    // Low halves can end in zero limbs after the split; trim the borrowed
-    // slices instead of allocating normalized copies. High halves inherit
-    // the parent's non-zero top limb and need no trim.
-    let (a0, b0) = (trim_zeros(a0), trim_zeros(b0));
-
-    let z0 = mul_karatsuba(a0, b0);
-    let z2 = mul_karatsuba(a1, b1);
-    let sa = add_limbs(a0, a1);
-    let sb = add_limbs(b0, b1);
-    let z1_full = mul_karatsuba(sa.limbs(), sb.limbs());
-    // z1 = (a0+a1)(b0+b1) - z0 - z2  >= 0
-    let z1 = z1_full
-        .checked_sub(&z0)
-        .and_then(|t| t.checked_sub(&z2))
-        .expect("karatsuba middle term is non-negative");
-
-    // dls-lint: allow(unchecked-arith) -- BigUint shifts and adds are arbitrary-precision
-    (z2 << (64 * half)) + (z1 << (32 * half)) + z0
-}
-
-fn split_at_clamped(v: &[u32], at: usize) -> (&[u32], &[u32]) {
-    if at >= v.len() {
-        (v, &[])
-    } else {
-        v.split_at(at)
-    }
-}
-
-/// Drops trailing zero limbs from a borrowed slice (the slice analogue of
-/// [`BigUint::normalize`]).
-fn trim_zeros(v: &[u32]) -> &[u32] {
-    let mut n = v.len();
-    while n > 0 && v[n - 1] == 0 {
-        n -= 1;
-    }
-    &v[..n]
-}
-
-/// Knuth TAOCP vol. 2, Algorithm 4.3.1 D: multi-limb division.
-fn knuth_d(num: &BigUint, den: &BigUint) -> (BigUint, BigUint) {
-    // Normalize: shift so the divisor's top limb has its high bit set.
-    let shift = den.limbs.last().expect("divisor >= 2 limbs").leading_zeros() as usize;
-    // dls-lint: allow(unchecked-arith) -- BigUint shift is arbitrary-precision
-    let v = den << shift; // divisor
-    let n = v.limbs.len();
-
-    // Shifted dividend, consumed directly as the working buffer (one extra
-    // high limb appended) — the shift already allocated a fresh vector.
-    // dls-lint: allow(unchecked-arith) -- BigUint shift is arbitrary-precision
-    let mut us: Vec<u32> = (num << shift).limbs;
-    let m = us.len() - n; // dls-lint: allow(unchecked-arith) -- knuth_d requires num >= den, so us.len() >= n
-    us.push(0);
-
-    let mut q = vec![0u32; m + 1];
-    knuth_d_core(&mut us, &v.limbs, Some(&mut q));
-
-    let quotient = BigUint::from_limbs_le(q);
-    let remainder = BigUint::from_limbs_le(us[..n].to_vec()) >> shift;
-    (quotient, remainder)
-}
-
-/// Main loop of Algorithm D over pre-normalized buffers, shared between
-/// [`knuth_d`] and the remainder-only scratch path in [`crate::modmath`].
-///
-/// `vs` is the shifted divisor (top bit of its last limb set, at least two
-/// limbs); `us` is the shifted dividend with one extra high limb appended
-/// (`us.len() >= vs.len() + 1`). On return `us[..vs.len()]` holds the still
-/// shifted remainder. Quotient limbs are written to `q_out` when provided
-/// (`q_out.len() == us.len() - vs.len()`); a remainder-only caller passes
-/// `None` and skips the quotient allocation entirely.
-pub(crate) fn knuth_d_core(us: &mut [u32], vs: &[u32], mut q_out: Option<&mut [u32]>) {
-    let n = vs.len();
-    let m = us.len() - 1 - n;
-    let vn1 = vs[n - 1] as u64;
-    let vn2 = vs[n - 2] as u64;
-
-    for j in (0..=m).rev() {
-        // Estimate q̂ = (u[j+n]·B + u[j+n-1]) / v[n-1], then correct.
-        let top = ((us[j + n] as u64) << 32) | us[j + n - 1] as u64;
-        let mut qhat = top / vn1;
-        let mut rhat = top % vn1;
-        while qhat >= 1u64 << 32
-            || qhat * vn2 > ((rhat << 32) | us[j + n - 2] as u64)
-        {
-            qhat -= 1;
-            // dls-lint: allow(unchecked-arith) -- rhat < vn1 < 2^32, so rhat + vn1 < 2^33 fits u64
-            rhat += vn1;
-            if rhat >= 1u64 << 32 {
-                break;
-            }
-        }
-
-        // Multiply-subtract: u[j..j+n] -= q̂ · v.
-        let mut borrow: i64 = 0;
-        let mut carry: u64 = 0;
-        for i in 0..n {
-            let p = qhat * vs[i] as u64 + carry;
-            carry = p >> 32;
-            let d = us[j + i] as i64 - (p as u32) as i64 - borrow;
-            if d < 0 {
-                // dls-lint: allow(unchecked-arith) -- d in (-2^32, 0), so d + 2^32 fits i64 and u32
-                us[j + i] = (d + (1i64 << 32)) as u32;
-                borrow = 1;
-            } else {
-                us[j + i] = d as u32;
-                borrow = 0;
-            }
-        }
-        let d = us[j + n] as i64 - carry as i64 - borrow;
-        if d < 0 {
-            // q̂ was one too large: add back.
-            // dls-lint: allow(unchecked-arith) -- d in (-2^32, 0), so d + 2^32 fits i64 and u32
-            us[j + n] = (d + (1i64 << 32)) as u32;
-            qhat -= 1;
-            let mut carry: u64 = 0;
-            for i in 0..n {
-                let s = us[j + i] as u64 + vs[i] as u64 + carry;
-                us[j + i] = s as u32;
-                carry = s >> 32;
-            }
-            us[j + n] = us[j + n].wrapping_add(carry as u32);
-        } else {
-            us[j + n] = d as u32;
-        }
-        if let Some(q) = q_out.as_deref_mut() {
-            q[j] = qhat as u32;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Operator impls (reference forms are canonical; owned forms forward)
 // ---------------------------------------------------------------------------
 
 impl Add for &BigUint {
     type Output = BigUint;
     fn add(self, rhs: &BigUint) -> BigUint {
-        add_limbs(&self.limbs, &rhs.limbs)
+        BigUint::from_limbs_le(add_words(&self.limbs, &rhs.limbs))
     }
 }
 
@@ -668,18 +426,8 @@ impl AddAssign<&BigUint> for BigUint {
         if self.limbs.len() < rhs.limbs.len() {
             self.limbs.resize(rhs.limbs.len(), 0);
         }
-        let mut carry: u64 = 0;
-        for (i, limb) in self.limbs.iter_mut().enumerate() {
-            if carry == 0 && i >= rhs.limbs.len() {
-                return; // no addend limbs left and nothing to propagate
-            }
-            let r = rhs.limbs.get(i).copied().unwrap_or(0);
-            let s = *limb as u64 + r as u64 + carry;
-            *limb = s as u32;
-            carry = s >> 32;
-        }
-        if carry != 0 {
-            self.limbs.push(carry as u32);
+        if add_in_place(&mut self.limbs, &rhs.limbs) {
+            self.limbs.push(1);
         }
     }
 }
@@ -703,7 +451,9 @@ impl Sub<&BigUint> for BigUint {
 impl Mul for &BigUint {
     type Output = BigUint;
     fn mul(self, rhs: &BigUint) -> BigUint {
-        mul_karatsuba(&self.limbs, &rhs.limbs)
+        let mut out = vec![0; self.limbs.len() + rhs.limbs.len()];
+        mul_into(&mut out, &self.limbs, &rhs.limbs);
+        BigUint::from_limbs_le(out)
     }
 }
 
@@ -734,13 +484,11 @@ impl Shl<usize> for &BigUint {
         if self.is_zero() || bits == 0 {
             return self.clone();
         }
-        let (limb_shift, bit_shift) = (bits / 32, bits % 32);
-        let mut out = vec![0u32; self.limbs.len() + limb_shift + 1];
-        for (i, &l) in self.limbs.iter().enumerate() {
-            let v = (l as u64) << bit_shift;
-            out[i + limb_shift] |= v as u32;
-            out[i + limb_shift + 1] |= (v >> 32) as u32;
-        }
+        let limb_shift = bits / 64;
+        let mut out = vec![0; limb_shift];
+        out.extend_from_slice(&self.limbs);
+        out.push(0);
+        shl_in_place(&mut out[limb_shift..], (bits % 64) as u32);
         BigUint::from_limbs_le(out)
     }
 }
@@ -755,24 +503,11 @@ impl Shl<usize> for BigUint {
 impl Shr<usize> for &BigUint {
     type Output = BigUint;
     fn shr(self, bits: usize) -> BigUint {
-        let (limb_shift, bit_shift) = (bits / 32, bits % 32);
-        if limb_shift >= self.limbs.len() {
+        let Some(kept) = self.limbs.get(bits / 64..) else {
             return BigUint::zero();
-        }
-        // dls-lint: allow(unchecked-arith) -- early return above guarantees limb_shift < len
-        let mut out = Vec::with_capacity(self.limbs.len() - limb_shift);
-        for i in limb_shift..self.limbs.len() {
-            let lo = self.limbs[i] >> bit_shift;
-            let hi = if bit_shift > 0 {
-                self.limbs
-                    .get(i + 1)
-                    .map_or(0, |&n| (n as u64) << (32 - bit_shift))
-                    as u32
-            } else {
-                0
-            };
-            out.push(lo | hi);
-        }
+        };
+        let mut out = kept.to_vec();
+        shr_in_place(&mut out, (bits % 64) as u32);
         BigUint::from_limbs_le(out)
     }
 }
@@ -802,7 +537,7 @@ impl fmt::Display for BigUint {
         if self.is_zero() {
             return f.write_str("0");
         }
-        // Repeated division by 10^9 yields base-10^9 digits.
+        // Repeated division by 10^19 yields base-10^19 digits.
         let mut chunks = Vec::new();
         let mut cur = self.clone();
         while !cur.is_zero() {
@@ -813,7 +548,7 @@ impl fmt::Display for BigUint {
         let mut s = String::with_capacity(chunks.len() * DEC_CHUNK_DIGITS);
         s.push_str(&chunks.last().unwrap().to_string());
         for c in chunks.iter().rev().skip(1) {
-            s.push_str(&format!("{c:09}"));
+            s.push_str(&format!("{c:019}"));
         }
         f.write_str(&s)
     }
@@ -832,7 +567,7 @@ impl fmt::LowerHex for BigUint {
         }
         write!(f, "{:x}", self.limbs.last().unwrap())?;
         for l in self.limbs.iter().rev().skip(1) {
-            write!(f, "{l:08x}")?;
+            write!(f, "{l:016x}")?;
         }
         Ok(())
     }
@@ -978,19 +713,25 @@ mod tests {
 
     #[test]
     fn mul_karatsuba_matches_schoolbook() {
-        // Construct operands bigger than the Karatsuba threshold.
-        let mut limbs_a = Vec::new();
-        let mut limbs_b = Vec::new();
-        let mut x: u32 = 0x9e3779b9;
-        for i in 0..(KARATSUBA_THRESHOLD * 3) {
-            x = x.wrapping_mul(2654435761).wrapping_add(i as u32);
-            limbs_a.push(x);
-            x = x.rotate_left(13) ^ 0xabcdef01;
-            limbs_b.push(x);
+        use crate::limbs::{mul_into, mul_schoolbook, KARATSUBA_THRESHOLD as T};
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut word = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        // Balanced and lopsided operands on both sides of the threshold.
+        for (la, lb) in [(3 * T, 3 * T), (T, 5 * T), (T - 1, 4 * T), (2 * T + 1, 4 * T)] {
+            let mut a: Vec<u64> = (0..la).map(|_| word()).collect();
+            let b: Vec<u64> = (0..lb).map(|_| word()).collect();
+            // Zero words at the bottom leave a Karatsuba low half to trim.
+            a[..T / 2].fill(0);
+            let (mut fast, mut slow) = (vec![0; la + lb], vec![0; la + lb]);
+            mul_into(&mut fast, &a, &b);
+            mul_schoolbook(&mut slow, &a, &b);
+            assert_eq!(fast, slow, "{la} x {lb} words");
         }
-        let a = BigUint::from_limbs_le(limbs_a);
-        let b = BigUint::from_limbs_le(limbs_b);
-        assert_eq!(mul_karatsuba(a.limbs(), b.limbs()), mul_schoolbook(a.limbs(), b.limbs()));
     }
 
     #[test]
@@ -1025,12 +766,12 @@ mod tests {
 
     #[test]
     fn knuth_d_add_back_case() {
-        // A case engineered to trigger the rare "add back" branch:
-        // u = B^2·(B-1), v = B·(B-1)+1 where B = 2^32 triggers qhat
-        // overestimation.
-        let b = BigUint::one() << 32usize;
-        let u = &(&b * &b) * &(&b - &BigUint::one());
-        let v = &(&b * &(&b - &BigUint::one())) + &BigUint::one();
+        // The 64-bit analogue of Hacker's Delight's add-back case (divmnu,
+        // u = {0, 0, 2³¹, 2³¹−1}, v = {1, 0, 2³¹}): q̂ passes the two-word
+        // test but is one too large, so Algorithm D must add v back.
+        let h = 1u64 << 63;
+        let u = BigUint::from_limbs_le(vec![0, 0, h, h - 1]);
+        let v = BigUint::from_limbs_le(vec![1, 0, h]);
         let (q, r) = u.divrem(&v);
         assert_eq!(&(&q * &v) + &r, u);
         assert!(r < v);

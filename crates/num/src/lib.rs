@@ -12,13 +12,16 @@
 //! * **The cryptographic substrate.** The paper assumes a PKI with digital
 //!   signatures; `dls-crypto` implements RSA-style signatures on the
 //!   fixed-width Montgomery kernel ([`montgomery`], over the word storage
-//!   and byte/limb boundary in [`limbs`]), with [`BigUint`] modular
+//!   and byte boundary in [`limbs`]), with [`BigUint`] modular
 //!   arithmetic ([`modmath`]) as its oracle.
 //!
-//! The representation is a little-endian `Vec<u32>` limb vector (so every
-//! intermediate product fits a `u64`), normalized to have no trailing zero
-//! limbs. Multiplication switches to Karatsuba above a threshold; division is
-//! Knuth's Algorithm D.
+//! The crate has one limb width. A [`BigUint`] is a little-endian
+//! `Vec<u64>` limb vector, normalized to have no trailing zero limbs, and
+//! its limbs are the words the Montgomery kernel computes on. Every
+//! width-dependent loop is one slice kernel in [`limbs`] over `u64` words
+//! with `u128` products and carries: multiplication runs schoolbook rows
+//! and switches to Karatsuba above a threshold, division is Knuth's
+//! Algorithm D.
 //!
 //! ```
 //! use dls_num::{BigUint, BigInt, Rational};

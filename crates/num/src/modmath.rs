@@ -6,10 +6,13 @@
 //! hot loop (notably [`pow_mod`]'s per-bit squarings) runs allocation-lean.
 //! Both forms compute the same unique representative in `[0, m)`, which keeps
 //! [`pow_mod`] valid as the bit-exactness oracle for the Montgomery kernels
-//! in [`crate::montgomery`].
+//! in [`crate::montgomery`]. Both run on the slice kernels in
+//! [`crate::limbs`]: the `_into` forms call them on the scratch buffers
+//! directly.
 
 use crate::bigint::BigInt;
-use crate::biguint::{knuth_d_core, BigUint};
+use crate::biguint::BigUint;
+use crate::limbs::{add_in_place, cmp_words, div_rem_in_place, mul_schoolbook, sub_in_place, trim};
 use std::cmp::Ordering;
 
 /// Reusable scratch buffers for the `_into` modular kernels.
@@ -20,9 +23,9 @@ use std::cmp::Ordering;
 pub struct ModScratch {
     /// Product / working-dividend buffer (doubles as Knuth-D's in-place
     /// remainder buffer).
-    us: Vec<u32>,
+    us: Vec<u64>,
     /// Normalized (shifted) divisor buffer.
-    vs: Vec<u32>,
+    vs: Vec<u64>,
 }
 
 /// `(a + b) mod m`.
@@ -30,7 +33,7 @@ pub struct ModScratch {
 /// # Panics
 /// Panics if `m` is zero.
 pub fn add_mod(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    &(a + b) % m
+    &(a + b) % m // dls-lint: allow(unchecked-arith) -- BigUint ops are arbitrary-precision
 }
 
 /// `(a + b) mod m` into `out`, reusing `scratch` — no allocation once the
@@ -50,24 +53,17 @@ pub fn add_mod_into(
 ) {
     assert!(!m.is_zero(), "zero modulus");
     debug_assert!(a < m && b < m, "add_mod_into requires reduced operands");
-    let us = &mut scratch.us;
-    us.clear();
     let (al, bl) = (a.limbs(), b.limbs());
     let (long, short) = if al.len() >= bl.len() { (al, bl) } else { (bl, al) };
-    let mut carry: u64 = 0;
-    for (i, &l) in long.iter().enumerate() {
-        let s = l as u64 + short.get(i).copied().unwrap_or(0) as u64 + carry;
-        us.push(s as u32);
-        carry = s >> 32;
-    }
-    if carry != 0 {
-        us.push(carry as u32);
-    }
-    trim(us);
+    let us = &mut scratch.us;
+    us.clear();
+    us.extend_from_slice(long);
+    us.push(0);
+    add_in_place(us, short);
+    us.truncate(trim(us).len());
     // a + b < 2m: subtract m at most once.
-    if cmp_slices(us, m.limbs()) != Ordering::Less {
+    if cmp_words(us, m.limbs()) != Ordering::Less {
         sub_in_place(us, m.limbs());
-        trim(us);
     }
     out.assign_from_slice(us);
 }
@@ -77,12 +73,12 @@ pub fn add_mod_into(
 /// # Panics
 /// Panics if `m` is zero.
 pub fn mul_mod(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    &(a * b) % m
+    &(a * b) % m // dls-lint: allow(unchecked-arith) -- BigUint ops are arbitrary-precision
 }
 
 /// `(a * b) mod m` into `out`, reusing `scratch` — the schoolbook product
-/// and the Knuth-D remainder both run in caller-held buffers, and the
-/// quotient is never materialized.
+/// (never Karatsuba, which allocates) and the Knuth-D remainder both run
+/// in caller-held buffers, and the quotient is never materialized.
 ///
 /// Accepts arbitrary (unreduced) operands, like [`mul_mod`].
 ///
@@ -96,9 +92,13 @@ pub fn mul_mod_into(
     out: &mut BigUint,
 ) {
     assert!(!m.is_zero(), "zero modulus");
-    mul_limbs_into(a.limbs(), b.limbs(), &mut scratch.us);
-    rem_in_place(scratch, m);
-    out.assign_from_slice(&scratch.us);
+    let (al, bl) = (a.limbs(), b.limbs());
+    let us = &mut scratch.us;
+    us.clear();
+    us.resize(al.len().saturating_add(bl.len()), 0);
+    mul_schoolbook(us, al, bl);
+    div_rem_in_place(us, m.limbs(), &mut scratch.vs, None);
+    out.assign_from_slice(us);
 }
 
 /// `base^exp mod m` by left-to-right square-and-multiply.
@@ -153,142 +153,6 @@ pub fn inv_mod(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     Some(inv.magnitude().clone())
 }
 
-// ---------------------------------------------------------------------------
-// Limb-buffer helpers for the `_into` kernels
-// ---------------------------------------------------------------------------
-
-/// Drops trailing zero limbs.
-fn trim(us: &mut Vec<u32>) {
-    while us.last() == Some(&0) {
-        us.pop();
-    }
-}
-
-/// Compares two trimmed little-endian limb slices.
-fn cmp_slices(a: &[u32], b: &[u32]) -> Ordering {
-    match a.len().cmp(&b.len()) {
-        Ordering::Equal => {}
-        ord => return ord,
-    }
-    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        match x.cmp(y) {
-            Ordering::Equal => continue,
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-/// `us -= b` in place, assuming `us >= b` (as values).
-fn sub_in_place(us: &mut [u32], b: &[u32]) {
-    let mut borrow: i64 = 0;
-    for (i, limb) in us.iter_mut().enumerate() {
-        let d = *limb as i64 - b.get(i).copied().unwrap_or(0) as i64 - borrow;
-        if d < 0 {
-            *limb = (d + (1i64 << 32)) as u32;
-            borrow = 1;
-        } else {
-            *limb = d as u32;
-            borrow = 0;
-        }
-    }
-    debug_assert_eq!(borrow, 0, "subtraction underflow");
-}
-
-/// Schoolbook product `a * b` into `out` (trimmed), reusing its allocation.
-fn mul_limbs_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    out.resize(a.len() + b.len(), 0);
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        let mut carry: u64 = 0;
-        for (j, &bj) in b.iter().enumerate() {
-            let t = ai as u64 * bj as u64 + out[i + j] as u64 + carry;
-            out[i + j] = t as u32;
-            carry = t >> 32;
-        }
-        let mut k = i + b.len();
-        while carry != 0 {
-            let t = out[k] as u64 + carry;
-            out[k] = t as u32;
-            carry = t >> 32;
-            k += 1;
-        }
-    }
-    trim(out);
-}
-
-/// Multiplies the buffer by `2^sh` in place (`sh < 32`), growing by one limb.
-fn shl_small_in_place(us: &mut Vec<u32>, sh: usize) {
-    if sh == 0 || us.is_empty() {
-        return;
-    }
-    us.push(0);
-    for i in (0..us.len() - 1).rev() {
-        let v = (us[i] as u64) << sh;
-        // The already-shifted limb above has its low `sh` bits zero, so the
-        // carry ORs in losslessly.
-        us[i + 1] |= (v >> 32) as u32;
-        us[i] = v as u32;
-    }
-}
-
-/// Divides the buffer by `2^sh` in place (`sh < 32`, low bits discarded).
-fn shr_small_in_place(us: &mut [u32], sh: usize) {
-    if sh == 0 {
-        return;
-    }
-    for i in 0..us.len() {
-        let hi = us.get(i + 1).copied().unwrap_or(0);
-        us[i] = (us[i] >> sh) | (((hi as u64) << (32 - sh)) as u32);
-    }
-}
-
-/// Reduces `scratch.us` modulo `m` in place (remainder-only Knuth D; no
-/// quotient storage, no allocation once the buffers have grown).
-fn rem_in_place(scratch: &mut ModScratch, m: &BigUint) {
-    trim(&mut scratch.us);
-    if cmp_slices(&scratch.us, m.limbs()) == Ordering::Less {
-        return;
-    }
-    let ml = m.limbs();
-    if ml.len() == 1 {
-        // Single-limb modulus: the same u64 scan as `divrem_small`, minus
-        // the quotient.
-        let d = ml[0] as u64;
-        let mut rem: u64 = 0;
-        for &l in scratch.us.iter().rev() {
-            rem = (((rem << 32) | l as u64) % d) & 0xffff_ffff;
-        }
-        scratch.us.clear();
-        if rem != 0 {
-            scratch.us.push(rem as u32);
-        }
-        return;
-    }
-    // Normalize: shift so the divisor's top limb has its high bit set, then
-    // run the shared Algorithm D core with no quotient sink.
-    let sh = ml.last().expect("multi-limb modulus").leading_zeros() as usize;
-    let vs = &mut scratch.vs;
-    vs.clear();
-    vs.extend_from_slice(ml);
-    shl_small_in_place(vs, sh);
-    trim(vs);
-    shl_small_in_place(&mut scratch.us, sh);
-    trim(&mut scratch.us);
-    scratch.us.push(0); // the extra high limb Algorithm D works in
-    knuth_d_core(&mut scratch.us, vs, None);
-    let n = vs.len();
-    scratch.us.truncate(n);
-    shr_small_in_place(&mut scratch.us, sh);
-    trim(&mut scratch.us);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,15 +161,15 @@ mod tests {
         BigUint::from(v)
     }
 
-    /// Deterministic pseudo-random value with roughly `limbs` limbs.
+    /// Deterministic pseudo-random value of roughly `limbs` 32-bit digits.
     fn rnd(limbs: usize, seed: u32) -> BigUint {
-        let mut v = Vec::with_capacity(limbs);
+        let mut be = Vec::with_capacity(4 * limbs);
         let mut x = seed.wrapping_mul(0x9e3779b9) | 1;
         for i in 0..limbs {
             x = x.wrapping_mul(2654435761).wrapping_add(i as u32 | 1);
-            v.push(x);
+            be.splice(0..0, x.to_be_bytes());
         }
-        BigUint::from_limbs_le(v)
+        BigUint::from_bytes_be(&be)
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! [`to_mont_be`]: MontgomeryCtx::to_mont_be
 
 use crate::biguint::BigUint;
-use crate::limbs::{biguint_from_limbs, cmp_words, limbs_from_biguint, load_be, words_for, Limbs};
+use crate::limbs::{
+    add_in_place, cmp_words, limbs_from_biguint, load_be, mac_row, sub_in_place, Limbs,
+};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -116,7 +118,7 @@ impl<L: Limbs> MontgomeryCtx<L> {
             return Err(MontgomeryError::UnitModulus);
         }
         let too_wide = MontgomeryError::TooWide {
-            words: words_for(n),
+            words: n.limbs().len(),
             width,
         };
         let n_limbs: L = limbs_from_biguint(n, width).ok_or(too_wide)?;
@@ -178,14 +180,7 @@ impl<L: Limbs> MontgomeryCtx<L> {
             let mut top: u64 = 0;
             for &bi in b {
                 // Multiply step: t += a · b[i].
-                let bi = bi as u128;
-                let mut carry: u64 = 0;
-                for (tj, &aj) in t.iter_mut().zip(a) {
-                    // (2⁶⁴−1)² + 2·(2⁶⁴−1) = 2¹²⁸−1: the three-term sum fits u128.
-                    let sum = *tj as u128 + aj as u128 * bi + carry as u128;
-                    *tj = sum as u64;
-                    carry = (sum >> 64) as u64;
-                }
+                let carry = mac_row(&mut *t, a, bi);
                 let (t_s, overflow) = top.overflowing_add(carry);
                 let t_s1 = overflow as u64;
 
@@ -353,7 +348,7 @@ impl<L: Limbs> MontgomeryCtx<L> {
     pub fn pow_windows(&self, base: &BigUint, windows: &ExpWindows) -> BigUint {
         let base_mont = self.reduce(base);
         let result = self.from_mont(&self.pow_to_mont(&base_mont, windows));
-        biguint_from_limbs(result.words())
+        BigUint::from_limbs_le(result.words().to_vec())
     }
 
     /// The Montgomery form of `a mod n` for any `a`.
@@ -361,30 +356,6 @@ impl<L: Limbs> MontgomeryCtx<L> {
         let bytes = a.to_bytes_be();
         self.to_mont_be(bytes.len(), bytes)
     }
-}
-
-/// `a -= b` over equal-width words; returns the final borrow.
-fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
-    let mut borrow = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (d, b1) = x.overflowing_sub(y);
-        let (d, b2) = d.overflowing_sub(borrow as u64);
-        *x = d;
-        borrow = b1 | b2;
-    }
-    borrow
-}
-
-/// `a += b` over equal-width words; returns the final carry.
-fn add_in_place(a: &mut [u64], b: &[u64]) -> bool {
-    let mut carry = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (s, c1) = x.overflowing_add(y);
-        let (s, c2) = s.overflowing_add(carry as u64);
-        *x = s;
-        carry = c1 | c2;
-    }
-    carry
 }
 
 /// A left-to-right fixed-window exponentiation in progress: the odd-power
@@ -520,21 +491,25 @@ mod tests {
         BigUint::from(v)
     }
 
+    fn from_words(w: &[u64]) -> BigUint {
+        BigUint::from_limbs_le(w.to_vec())
+    }
+
     /// A context at `n`'s natural width on the `Vec` fallback.
     fn dyn_ctx(n: &BigUint) -> Dyn {
-        Dyn::new(n, words_for(n)).unwrap()
+        Dyn::new(n, n.limbs().len()).unwrap()
     }
 
     /// Deterministic pseudo-random value of exactly `bits` bits.
     fn rnd(bits: usize, seed: u32) -> BigUint {
         let limbs = bits.div_ceil(32);
-        let mut v = Vec::with_capacity(limbs);
+        let mut be = Vec::with_capacity(4 * limbs);
         let mut x = seed.wrapping_mul(0x9e3779b9) | 1;
         for i in 0..limbs {
             x = x.wrapping_mul(2654435761).wrapping_add(i as u32 | 1);
-            v.push(x);
+            be.splice(0..0, x.to_be_bytes());
         }
-        let mut out = BigUint::from_limbs_le(v);
+        let mut out = BigUint::from_bytes_be(&be);
         // Trim to the requested width and force the top bit.
         out = &out >> (limbs * 32 - bits);
         out.set_bit(bits - 1, true);
@@ -561,9 +536,9 @@ mod tests {
         fn visit<L: Limbs>(self, width: usize) {
             let Oracle { n, bases, exp } = self;
             let ctx = MontgomeryCtx::<L>::new(n, width).unwrap();
-            assert_eq!(ctx.width(), width.max(words_for(n)));
+            assert_eq!(ctx.width(), width.max(n.limbs().len()));
             let r = BigUint::one() << (64 * ctx.width());
-            let big = |w: &L| biguint_from_limbs(w.words());
+            let big = |w: &L| from_words(w.words());
             let windows = ExpWindows::new(exp);
             for a in bases {
                 let am = ctx.reduce(a);
@@ -611,7 +586,7 @@ mod tests {
     /// Runs the oracle at the dispatched storage and, at a fixed width, on
     /// the `Vec` fallback too.
     fn check_both_storages(n: &BigUint, bases: &[BigUint], exp: &BigUint) {
-        let width = words_for(n);
+        let width = n.limbs().len();
         with_limbs(width, Oracle { n, bases, exp });
         if FIXED_WIDTHS.contains(&width) {
             Oracle { n, bases, exp }.visit::<Vec<u64>>(width);
@@ -667,24 +642,24 @@ mod tests {
     fn pack_unpack_roundtrip() {
         for bits in [1usize, 31, 32, 33, 64, 65, 96, 160, 544] {
             let a = rnd(bits, 3);
-            let s = words_for(&a);
+            let s = a.limbs().len();
             for width in [s, s + 1] {
                 let words: Vec<u64> = limbs_from_biguint(&a, width).unwrap();
                 assert_eq!(words.len(), width);
-                assert_eq!(biguint_from_limbs(&words), a, "bits {bits} width {width}");
+                assert_eq!(from_words(&words), a, "bits {bits} width {width}");
             }
             if s <= 16 {
                 let fixed: [u64; 16] = limbs_from_biguint(&a, 16).unwrap();
-                assert_eq!(biguint_from_limbs(&fixed), a, "bits {bits} fixed");
+                assert_eq!(from_words(&fixed), a, "bits {bits} fixed");
             }
         }
         let zero: Vec<u64> = limbs_from_biguint(&BigUint::zero(), 2).unwrap();
         assert_eq!(zero, vec![0, 0]);
     }
 
-    /// Moduli at the word-packing edges: an odd number of `u32` limbs
-    /// (top word half empty), one word below and above 2³², all-ones words
-    /// and `2^(64k−1)+1`, at fixed and fallback widths.
+    /// Moduli at the word edges: a top word half empty, one word below
+    /// and above 2³², all-ones words and `2^(64k−1)+1`, at fixed and
+    /// fallback widths.
     fn edge_moduli() -> Vec<BigUint> {
         let one = BigUint::one();
         let mut out = Vec::new();
@@ -714,7 +689,7 @@ mod tests {
         for width in FIXED_WIDTHS.into_iter().chain([1, 2, 5, 7, 32]) {
             for seed in 0..3 {
                 let n = odd_rnd(64 * width - seed as usize, 40 + seed);
-                assert_eq!(words_for(&n), width);
+                assert_eq!(n.limbs().len(), width);
                 let mut bases = edge_bases(&n);
                 bases.extend((0..3).map(|k| rnd(64 * width, 90 + k + seed)));
                 // The oracle's cost grows with the exponent; 128 bits
@@ -767,7 +742,7 @@ mod tests {
                 let a = BigUint::from_bytes_be(&bytes);
                 let am = ctx.to_mont_be(len, bytes.iter().copied());
                 assert_eq!(
-                    biguint_from_limbs(&am),
+                    from_words(&am),
                     modmath::mul_mod(&a, &r, &n),
                     "{bits} bits, {len} bytes"
                 );
@@ -790,11 +765,7 @@ mod tests {
         for seed in 0..20 {
             let a = rnd(192, 100 + seed);
             let am = ctx.reduce(&a);
-            assert_eq!(
-                biguint_from_limbs(&ctx.from_mont(&am)),
-                &a % &n,
-                "seed {seed}"
-            );
+            assert_eq!(from_words(&ctx.from_mont(&am)), &a % &n, "seed {seed}");
             // Any stored value maps in, including a ≥ n.
             let words: [u64; 3] = limbs_from_biguint(&a, 3).unwrap();
             assert_eq!(ctx.to_mont(&words), am, "seed {seed}");
@@ -818,7 +789,7 @@ mod tests {
                 let base = rnd(bits, 1000 + seed);
                 let exp = rnd(bits.min(256), 2000 + seed);
                 with_limbs(
-                    words_for(&n),
+                    n.limbs().len(),
                     Oracle {
                         n: &n,
                         bases: &[base],
@@ -916,7 +887,7 @@ mod tests {
         // Domain equality: the Montgomery words of the expected value.
         let expected = modmath::pow_mod(&base, &exp, &p);
         assert_eq!(rm, ctx.reduce(&expected));
-        assert_eq!(biguint_from_limbs(&ctx.from_mont(&rm)), expected);
+        assert_eq!(from_words(&ctx.from_mont(&rm)), expected);
         assert_eq!(ctx.from_mont(&ctx.one()), vec![1]);
     }
 }

@@ -16,7 +16,7 @@ use dls_num::{gcd, lcm, modmath, BigInt, BigUint, Rational};
 use proptest::prelude::*;
 
 fn arb_biguint() -> impl Strategy<Value = BigUint> {
-    prop::collection::vec(any::<u32>(), 0..12).prop_map(BigUint::from_limbs_le)
+    prop::collection::vec(any::<u64>(), 0..12).prop_map(BigUint::from_limbs_le)
 }
 
 fn arb_bigint() -> impl Strategy<Value = BigInt> {
